@@ -228,17 +228,25 @@ mod tests {
         assert!(points.windows(2).all(|w| w[1].ci_tests > w[0].ci_tests));
     }
 
+    /// The paper's O(1) monitor claim is about work, not nanoseconds:
+    /// the detector scores each event from one CPT row, indexed by the
+    /// lagged values of its device's cause set. The mean cause set read
+    /// per replayed event must not grow with the device count; timing is
+    /// left to the benchmark.
     #[test]
-    fn monitor_latency_is_flat_in_device_count() {
-        let points = monitor_scaling(&[4, 16]);
-        // O(1): the cost may wobble but must not scale anywhere near
-        // linearly with n (a 4x device increase stays within 4x latency —
-        // in practice it is near-constant; the loose bound keeps the test
-        // robust on noisy CI machines).
-        let ratio = points[1].nanos_per_event / points[0].nanos_per_event;
+    fn monitor_work_per_event_is_flat_in_device_count() {
+        let mean_cause_set = |n: usize| {
+            let series = chain_trace(n, 300, 43);
+            let data = SnapshotData::from_series(&series, 2);
+            let dig = mine_dig(&data, &MinerConfig::default());
+            let events = series.events();
+            let reads: usize = events.iter().map(|e| dig.causes_of(e.device).len()).sum();
+            reads as f64 / events.len() as f64
+        };
+        let (small, large) = (mean_cause_set(4), mean_cause_set(16));
         assert!(
-            ratio < 4.0,
-            "per-event latency scaled {ratio:.1}x for 4x devices"
+            large <= small,
+            "mean cause set per event grew from {small} at 4 devices to {large} at 16"
         );
     }
 }

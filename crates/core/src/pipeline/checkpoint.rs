@@ -75,6 +75,7 @@ use iot_telemetry::{FitReport, TelemetryHandle};
 
 use crate::graph::{load_dig, load_dig_with_smoothing, save_dig, UnseenContext};
 use crate::persist::{crc32, find_crc_footer, write_atomic, CRC_FOOTER_PREFIX};
+use crate::pipeline::decoded::decode_shared;
 use crate::pipeline::{CausalIotConfig, FittedModel, TauChoice};
 use crate::preprocess::{DeviceBinarizer, FittedPreprocessor, FittedSanitizer, FittedUnifier};
 use crate::CausalIotError;
@@ -241,7 +242,9 @@ pub fn save_model_to_path(model: &FittedModel, path: &Path) -> Result<(), Causal
 
 /// Restores a model from a checkpoint file, verifying the `# crc32`
 /// footer when present (files without one — fixtures from older builds,
-/// hand-written documents — still load).
+/// hand-written documents — still load). The checks run before
+/// [`load_model`] looks for a live model with the same bytes, so a corrupt
+/// file fails closed whatever is alive.
 /// [`FittedModel::load_from_path`] delegates here.
 ///
 /// # Errors
@@ -327,12 +330,21 @@ fn attach_context(e: CausalIotError, path: &str, text: &str) -> CausalIotError {
 /// Restores a model persisted by [`save_model`], or a legacy dig-only
 /// `causaliot-dig v1` document. [`FittedModel::load`] delegates here.
 ///
+/// When `text` is byte-identical to the text of a model that is still
+/// alive and decoded for the same telemetry sink, this returns a clone of
+/// that model's handle instead of parsing a second copy; any other text
+/// is parsed (see [`FittedModel::load_with_telemetry`]).
+///
 /// # Errors
 ///
 /// Returns [`CausalIotError::Model`] for unsupported versions, malformed
 /// lines, or inconsistent indices, and [`CausalIotError::InvalidConfig`]
 /// when the embedded configuration fails validation.
 pub fn load_model(text: &str, telemetry: &TelemetryHandle) -> Result<FittedModel, CausalIotError> {
+    decode_shared(text, telemetry, || parse_model(text, telemetry))
+}
+
+fn parse_model(text: &str, telemetry: &TelemetryHandle) -> Result<FittedModel, CausalIotError> {
     let magic = text.lines().next().unwrap_or("").trim();
     if magic.starts_with("causaliot-dig") {
         return load_v1(text, telemetry);

@@ -13,6 +13,7 @@
 //! restorable with [`FittedModel::load`].
 
 pub mod checkpoint;
+mod decoded;
 pub mod refit;
 mod runtime_state;
 pub mod stages;
@@ -431,6 +432,12 @@ impl FittedModel {
     /// Like [`FittedModel::load`] with an explicit [`TelemetryHandle`];
     /// monitors spawned from the restored model report to it.
     ///
+    /// Decoded models are shared by content: when `text` is byte-identical
+    /// to the text of a model that is still alive and was decoded for the
+    /// same sink (any disabled handle, or a clone of the same live one),
+    /// this returns a clone of that model's handle, as [`Clone`] would,
+    /// instead of a second copy.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`FittedModel::load`].
@@ -472,7 +479,9 @@ impl FittedModel {
     }
 
     /// Like [`FittedModel::load_from_path`] with an explicit
-    /// [`TelemetryHandle`].
+    /// [`TelemetryHandle`]. The file's checks run first; a file that passes
+    /// them is decoded, and shared by content, as by
+    /// [`FittedModel::load_with_telemetry`].
     ///
     /// # Errors
     ///
@@ -627,6 +636,12 @@ impl FittedModel {
     /// Number of devices the model covers.
     pub fn num_devices(&self) -> usize {
         self.inner.num_devices
+    }
+
+    /// Whether both handles point at the same model allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_allocation_with(&self, other: &FittedModel) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Builds a [`DriftDetector`](crate::monitor::DriftDetector) against

@@ -168,6 +168,16 @@ impl TelemetryHandle {
         self.inner.is_some()
     }
 
+    /// Whether both handles report to the same registry and sink: any two
+    /// disabled handles do, and a live handle only with its own clones.
+    pub fn same_sink(&self, other: &TelemetryHandle) -> bool {
+        match (&self.inner, &other.inner) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     /// The counter `name` (no-op when disabled).
     pub fn counter(&self, name: &str) -> Counter {
         match &self.inner {

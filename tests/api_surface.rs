@@ -301,3 +301,17 @@ fn backoff_policy_is_shared_between_restore_and_adaptation() {
         );
     }
 }
+
+#[test]
+fn telemetry_sink_identity_is_pinned() {
+    use iot_telemetry::TelemetryHandle;
+
+    // Checkpoint decoding shares a live model only with loads for the
+    // same sink; this is how two handles' sinks compare.
+    let _same_sink: fn(&TelemetryHandle, &TelemetryHandle) -> bool = TelemetryHandle::same_sink;
+    let live = TelemetryHandle::with_noop_sink();
+    assert!(live.same_sink(&live.clone()));
+    assert!(!live.same_sink(&TelemetryHandle::with_noop_sink()));
+    assert!(TelemetryHandle::disabled().same_sink(&TelemetryHandle::disabled()));
+    assert!(!live.same_sink(&TelemetryHandle::disabled()));
+}

@@ -127,3 +127,27 @@ fn casas_profile_pipeline_works_without_numeric_devices() {
         "expected movement interactions, got {cross_presence}"
     );
 }
+
+/// Fit golden: a seeded ContextAct fit must keep producing the same model,
+/// byte for byte. Eleven days leave each of the four ambient sensors over
+/// 2100 readings after sanitation, above `JenksBinarizer::MAX_FIT_SAMPLES`,
+/// so the strided Jenks fit runs too. A change to preprocessing, mining or
+/// calibration that alters a fitted model fails here; a deliberate one
+/// re-pins the hash and says why.
+#[test]
+fn contextact_fit_content_hash_is_pinned() {
+    let profile = contextact_profile();
+    let sim = simulate(
+        &profile,
+        &SimConfig {
+            days: 11.0,
+            seed: TEST_SEED,
+            ..SimConfig::default()
+        },
+    );
+    let model = CausalIot::builder()
+        .build()
+        .fit(profile.registry(), &sim.log)
+        .expect("fit succeeds");
+    assert_eq!(model.content_hash(), 0x7f38_f2d9);
+}
