@@ -22,7 +22,7 @@ use causaliot::fleet::{child_store_root, run_child, run_sweep, FitJob, ModelStor
 use causaliot::{CausalIot, FittedModel, OwnedMonitor, Verdict};
 use causaliot_bench::telemetry_out;
 use iot_model::{Attribute, BinaryEvent, DeviceRegistry, Room, Timestamp};
-use iot_serve::{Hub, HubConfig, SubmitError};
+use iot_serve::{Hub, HubConfig, ModelUpdate, SubmitError, UpdateOutcome};
 use iot_telemetry::json::JsonValue;
 use iot_telemetry::TelemetryHandle;
 
@@ -224,7 +224,13 @@ fn main() {
         store.commit(name, hash).expect("commit generation 2");
     }
     let swap_start = Instant::now();
-    let swapped = hub.bulk_swap(&store, &ids).expect("bulk_swap");
+    let update = ModelUpdate::BulkSwap {
+        store: &store,
+        homes: &ids,
+    };
+    let UpdateOutcome::BulkSwapped(swapped) = hub.apply(update).expect("bulk swap") else {
+        unreachable!("a bulk swap reports BulkSwapped");
+    };
     hub.drain();
     let bulk_swap_wall_s = swap_start.elapsed().as_secs_f64();
     assert_eq!(swapped.len(), homes);

@@ -18,7 +18,7 @@
 //! * **Fit at fleet scale** ([`fleet`], re-exporting `iot-fleet`) — a
 //!   content-addressed, crash-safe model store with per-home lineage,
 //!   and a process-sharded sweep orchestrator; the hub consumes stores
-//!   wholesale via `Hub::bulk_load` / `Hub::bulk_swap`.
+//!   wholesale via `Hub::bulk_load` / `ModelUpdate::BulkSwap`.
 //! * **Observe** ([`telemetry`], re-exporting `iot-telemetry`) —
 //!   zero-dependency counters, gauges, histograms, and fit/monitor
 //!   reports.

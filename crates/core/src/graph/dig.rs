@@ -100,18 +100,6 @@ impl Dig {
         &self.cpts[device.index()]
     }
 
-    /// Mutable access to a device's CPT — used by the adaptive monitor to
-    /// fold confirmed-normal runtime observations back into the model
-    /// (behavioural-drift mitigation; see
-    /// [`crate::monitor::AdaptiveMonitor`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` is out of range.
-    pub fn cpt_mut(&mut self, device: DeviceId) -> &mut Cpt {
-        &mut self.cpts[device.index()]
-    }
-
     /// Iterates over every mined interaction (edge), in deterministic
     /// order.
     pub fn interactions(&self) -> impl Iterator<Item = Interaction> + '_ {

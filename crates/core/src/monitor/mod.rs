@@ -12,13 +12,11 @@
 //! The anomaly score of an event `e^t : {S_i^t = s}` is Eq. 1:
 //! `f = 1 − P(S_i^t = s | Ca(S_i^t) = ca)`.
 
-mod adaptive;
 mod detector;
 mod drift;
 mod phantom;
 mod threshold;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveMonitor, AdaptiveVerdict};
 pub use detector::{
     Alarm, AlarmKind, AnomalousEvent, DetectorConfig, DetectorStats, KSequenceDetector, Verdict,
 };

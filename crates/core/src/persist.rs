@@ -11,7 +11,7 @@
 
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Comment prefix of the checksum footer appended to footered documents
 /// (`# crc32 <8 hex digits>`). Line-oriented parsers that skip comment
@@ -84,12 +84,23 @@ pub fn append_crc_footer(text: &mut String) {
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
+    write_atomic_via(Path::new(&tmp), path, bytes)
+}
+
+/// [`write_atomic`] through a caller-named temporary file `tmp` (which
+/// must be on the same filesystem as `path`). Writers that may race on
+/// one `path` — several processes filing the same blob — each pass a
+/// temporary name of their own.
+///
+/// # Errors
+///
+/// Any I/O error from creating, writing, syncing, or renaming the file.
+pub fn write_atomic_via(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
     let write = (|| -> io::Result<()> {
-        let mut file = fs::File::create(&tmp)?;
+        let mut file = fs::File::create(tmp)?;
         file.write_all(bytes)?;
         file.sync_all()?;
-        fs::rename(&tmp, path)?;
+        fs::rename(tmp, path)?;
         // Durability of the rename needs the directory entry on disk too;
         // best-effort, as not every filesystem lets you open a directory.
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
@@ -100,13 +111,14 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         Ok(())
     })();
     write.inspect_err(|_| {
-        let _ = fs::remove_file(&tmp);
+        let _ = fs::remove_file(tmp);
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     #[test]
     fn crc32_matches_reference_vectors() {

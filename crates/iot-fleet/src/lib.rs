@@ -21,9 +21,9 @@
 //!   crashes cannot corrupt or diverge the store: puts are idempotent
 //!   and lineage commits happen in the parent.
 //!
-//! The serving hub consumes stores wholesale via `Hub::bulk_load` /
-//! `Hub::bulk_swap` (in `iot-serve`), upgrading a live fleet without
-//! dropping or reordering an event.
+//! The serving hub consumes stores wholesale via `Hub::bulk_load` and
+//! `ModelUpdate::BulkSwap` (in `iot-serve`), upgrading a live fleet
+//! without dropping or reordering an event.
 //!
 //! **Naming**: `ModelStore` stores *fitted models*;
 //! [`iot_model::DeviceRegistry`] catalogues the *devices* of one home.

@@ -12,11 +12,11 @@
 //! Blobs are immutable once written: [`ModelStore::put`] serialises the
 //! model (byte-stable, see
 //! [`causaliot_core::pipeline::checkpoint::save_model_footered`]), hashes
-//! it, and — if the blob does not already exist — writes it through the
-//! same temp-file → fsync → atomic-rename discipline the checkpoint
-//! writer uses, so an interrupted `put` leaves no partial blob visible
-//! (only a uniquely-named `*.tmp.<pid>` sibling, which [`ModelStore::gc`]
-//! sweeps). A `put` of a model already in the store is a no-op returning
+//! it, and — if the blob does not already exist — writes it through
+//! [`causaliot_core::persist::write_atomic_via`], the temp-file → fsync →
+//! atomic-rename helper the checkpoint writer uses, so an interrupted
+//! `put` leaves no partial blob visible (only a uniquely-named
+//! `*.tmp.<pid>` sibling, which [`ModelStore::gc`] sweeps). A `put` of a model already in the store is a no-op returning
 //! the existing key, which makes retried fit jobs idempotent: re-running
 //! a job produces byte-identical store contents.
 //!
@@ -27,10 +27,11 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
+use causaliot_core::persist::write_atomic_via;
 use causaliot_core::pipeline::checkpoint;
 use causaliot_core::{CausalIotError, FittedModel};
 use iot_telemetry::{Counter, TelemetryHandle};
@@ -207,6 +208,21 @@ impl ModelStore {
         self.root.join("lineage").join(format!("{home}.log"))
     }
 
+    /// Rewrites `home`'s lineage log as `entries`, one `<gen> <hash>`
+    /// line each, through [`write_atomic_via`].
+    fn write_lineage(
+        &self,
+        home: &str,
+        entries: &[(Generation, ModelHash)],
+    ) -> Result<(), FleetError> {
+        let path = self.lineage_path(home);
+        let text: String = entries
+            .iter()
+            .map(|(generation, hash)| format!("{generation} {hash}\n"))
+            .collect();
+        write_atomic_via(&tmp_path(&path), &path, text.as_bytes()).map_err(|e| io_err(&path, &e))
+    }
+
     /// Files `model` under its content hash and returns the key.
     ///
     /// Idempotent: putting a model whose blob already exists verifies
@@ -233,21 +249,8 @@ impl ModelStore {
             self.put_dedups.inc();
             return Ok(hash);
         }
-        let tmp = path.with_extension(format!("model.tmp.{}", std::process::id()));
-        let write = (|| -> io::Result<()> {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_all()?;
-            fs::rename(&tmp, &path)?;
-            if let Ok(dir) = fs::File::open(path.parent().expect("blob has a parent")) {
-                let _ = dir.sync_all();
-            }
-            Ok(())
-        })();
-        write.map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            io_err(&path, &e)
-        })?;
+        write_atomic_via(&tmp_path(&path), &path, text.as_bytes())
+            .map_err(|e| io_err(&path, &e))?;
         self.puts.inc();
         Ok(hash)
     }
@@ -301,29 +304,10 @@ impl ModelStore {
         if !self.blob_path(hash).exists() {
             return Err(FleetError::MissingBlob { hash });
         }
-        let lineage = self.lineage(home)?;
+        let mut lineage = self.lineage(home)?;
         let generation = lineage.last().map_or(0, |(gen, _)| *gen) + 1;
-        let path = self.lineage_path(home);
-        let mut text = String::new();
-        for (gen, h) in &lineage {
-            text.push_str(&format!("{gen} {h}\n"));
-        }
-        text.push_str(&format!("{generation} {hash}\n"));
-        let tmp = path.with_extension(format!("log.tmp.{}", std::process::id()));
-        let write = (|| -> io::Result<()> {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_all()?;
-            fs::rename(&tmp, &path)?;
-            if let Ok(dir) = fs::File::open(path.parent().expect("lineage has a parent")) {
-                let _ = dir.sync_all();
-            }
-            Ok(())
-        })();
-        write.map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            io_err(&path, &e)
-        })?;
+        lineage.push((generation, hash));
+        self.write_lineage(home, &lineage)?;
         Ok(generation)
     }
 
@@ -362,25 +346,7 @@ impl ModelStore {
             });
         }
         let kept = &lineage[..lineage.len() - 1];
-        let mut text = String::new();
-        for (gen, h) in kept {
-            text.push_str(&format!("{gen} {h}\n"));
-        }
-        let tmp = path.with_extension(format!("log.tmp.{}", std::process::id()));
-        let write = (|| -> io::Result<()> {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_all()?;
-            fs::rename(&tmp, &path)?;
-            if let Ok(dir) = fs::File::open(path.parent().expect("lineage has a parent")) {
-                let _ = dir.sync_all();
-            }
-            Ok(())
-        })();
-        write.map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            io_err(&path, &e)
-        })?;
+        self.write_lineage(home, kept)?;
         self.telemetry.counter("fleet.store.rollbacks").inc();
         Ok(*kept.last().expect("kept is non-empty"))
     }
@@ -547,6 +513,15 @@ impl ModelStore {
         }
         Ok(report)
     }
+}
+
+/// The temporary sibling a store write goes through, `<file>.tmp.<pid>`:
+/// unique per process, because sweep children may file the same blob at
+/// once, and swept by [`ModelStore::gc`] after a crash.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    PathBuf::from(tmp)
 }
 
 fn io_err(path: &Path, e: &io::Error) -> FleetError {

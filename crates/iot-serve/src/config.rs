@@ -222,7 +222,7 @@ impl DurabilityConfig {
 /// `causaliot-model v2` checkpoint at `from_checkpoint` (re-read on
 /// every attempt, so an operator can update it in place) and
 /// re-registers the home with a fresh monitor at an event boundary — the
-/// same machinery as [`crate::Hub::restore`]. At most
+/// same machinery as a [`crate::ModelUpdate::Restore`]. At most
 /// `backoff.max_attempts` automatic restores are attempted per home per
 /// session; a home that keeps panicking past that stays quarantined for
 /// manual intervention.
@@ -232,7 +232,7 @@ pub struct RestorePolicy {
     /// output) to restore quarantined homes from.
     pub from_checkpoint: PathBuf,
     /// Attempt budget and wait schedule for automatic restores (manual
-    /// [`crate::Hub::restore`] calls are not counted against it).
+    /// [`crate::ModelUpdate::Restore`]s are not counted against it).
     pub backoff: BackoffPolicy,
 }
 
@@ -314,7 +314,7 @@ pub struct HubConfig {
     /// [`crate::Hub::submit_batch`].
     pub submit_policy: SubmitPolicy,
     /// Automatic quarantine recovery from a checkpoint (`None` = restores
-    /// are manual via [`crate::Hub::restore`]).
+    /// are manual via [`crate::ModelUpdate::Restore`]).
     pub restore_policy: Option<RestorePolicy>,
     /// Per-home ingestion hardening: a [`causaliot_core::IngestGuard`]
     /// runs in front of every home's monitor on the shard, repairing

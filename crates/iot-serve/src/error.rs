@@ -8,7 +8,7 @@ use crate::HomeId;
 
 /// A home is quarantined: a panic unwound out of its monitor, the
 /// poisoned monitor was sealed off, and the home takes no further events
-/// until it is restored ([`crate::Hub::restore`] or the hub's
+/// until it is restored ([`crate::ModelUpdate::Restore`] or the hub's
 /// [`crate::RestorePolicy`]).
 ///
 /// Carried by [`SubmitError::Quarantined`] so submitters see *why* the

@@ -7,9 +7,9 @@
 //! after an unwind, so it must be discarded, never resumed), submissions
 //! for the home are rejected with [`crate::SubmitError::Quarantined`],
 //! and every sibling home on the shard continues untouched. A quarantined
-//! home re-enters service through [`crate::Hub::restore`] or the hub's
-//! automatic [`crate::RestorePolicy`], which install a fresh monitor at an
-//! event boundary.
+//! home re-enters service through a [`crate::ModelUpdate::Restore`] or
+//! the hub's automatic [`crate::RestorePolicy`], which install a fresh
+//! monitor at an event boundary.
 //!
 //! This module also defines [`FaultHook`], the chaos-engineering seam the
 //! `testbed` crate implements to inject panics and worker deaths on a
@@ -39,9 +39,9 @@ pub trait FaultHook: Send + Sync {
         let _ = (home, seq);
     }
 
-    /// Called at each job boundary on `shard` (no job in flight) with the
-    /// cumulative number of jobs the shard has processed across all worker
-    /// incarnations. Returning `true` kills the worker thread; the hub's
+    /// Called at each burst boundary on `shard` (no job in flight) with
+    /// the cumulative number of jobs the shard has processed across all
+    /// worker incarnations. Returning `true` kills the worker thread; the hub's
     /// supervisor detects the death and respawns the worker, which resumes
     /// the shard's queue with nothing dropped or reordered.
     fn kill_worker(&self, shard: usize, jobs_done: u64) -> bool {

@@ -105,13 +105,13 @@ pub struct HomeReport {
     pub name: String,
     /// Every verdict in submission order (empty when
     /// [`HubConfig::record_verdicts`] is off). Spans all models the home
-    /// was served under: a [`Hub::swap_model`] does not reset it.
+    /// was served under: a [`ModelUpdate::Swap`] does not reset it.
     pub verdicts: Vec<Verdict>,
     /// The aggregated monitoring session report of the home's *current*
     /// monitor (the one installed by the latest swap/restore, or
     /// registration).
     pub monitor: MonitorReport,
-    /// Number of [`Hub::swap_model`] calls processed for this home
+    /// Number of model swaps processed for this home
     /// (restores are counted separately, in [`HomeReport::restores`]).
     pub swaps: u64,
     /// Session reports of monitors retired by swaps and restores, in
@@ -120,7 +120,7 @@ pub struct HomeReport {
     /// Every panic payload captured from this home's monitors, oldest
     /// first (empty for a home that never panicked).
     pub panics: Vec<String>,
-    /// Restores processed for this home ([`Hub::restore`] and the
+    /// Restores processed for this home ([`ModelUpdate::Restore`] and the
     /// [`crate::RestorePolicy`] combined).
     pub restores: u64,
     /// Whether the home ended the session quarantined (its last panic was
@@ -183,9 +183,9 @@ struct HomeEntry {
 ///   [`SubmitError::Quarantined`], queued events for it are dropped) and
 ///   every sibling home — on the same shard or elsewhere — continues with
 ///   bit-identical verdicts.
-/// * A quarantined home re-enters service through [`Hub::restore`], a
-///   [`Hub::swap_model`], or the hub's automatic
-///   [`crate::RestorePolicy`].
+/// * A quarantined home re-enters service through a
+///   [`ModelUpdate::Restore`], a [`ModelUpdate::Swap`], or the hub's
+///   automatic [`crate::RestorePolicy`].
 /// * A worker *thread* death is detected by the hub's supervisor, which
 ///   respawns the worker onto the same queue and homes: nothing is
 ///   dropped or reordered, and the `hub.shard.<i>.restarts` counter
@@ -805,9 +805,8 @@ impl Hub {
     /// point behind every way a serving model changes: rollouts
     /// ([`ModelUpdate::Swap`]), recoveries ([`ModelUpdate::Restore`]),
     /// fleet-wide store-head upgrades ([`ModelUpdate::BulkSwap`]), and
-    /// drift refits ([`ModelUpdate::DriftRefit`]). The historical
-    /// [`Hub::swap_model`] / [`Hub::restore`] / [`Hub::bulk_swap`]
-    /// methods are thin forwarders onto this.
+    /// drift refits ([`ModelUpdate::DriftRefit`]). Each variant documents
+    /// its own semantics and accounting.
     ///
     /// Every variant rides the affected homes' own shard queues, so each
     /// update lands at an event boundary: events submitted before it are
@@ -850,68 +849,6 @@ impl Hub {
         }
     }
 
-    /// Atomically replaces `home`'s monitor with a fresh one spawned from
-    /// `model` — a zero-downtime rollout of a refit (or checkpointed)
-    /// model. Forwards to [`Hub::apply`] with [`ModelUpdate::Swap`]
-    /// (reason [`UpdateReason::Rollout`]).
-    ///
-    /// The swap is queued on the home's own shard like any other job, so
-    /// it takes effect at an event boundary: every event a producer
-    /// submitted *before* this call is still judged by the old monitor
-    /// (the in-flight queue drains under the old model), every event
-    /// submitted *after* it returns is judged by the new one, and no
-    /// event is dropped or reordered. The new monitor resumes from the
-    /// new model's end-of-training state, exactly as [`Hub::register`]
-    /// does. The retired monitor's session report is preserved and
-    /// returned in [`HomeReport::retired`]; the swap increments the
-    /// `hub.swaps` and per-shard `hub.shard.<i>.swaps` counters.
-    ///
-    /// Swapping a *quarantined* home is allowed and clears the
-    /// quarantine — the poisoned monitor is replaced wholesale — but is
-    /// not counted as a restore; use [`Hub::restore`] when recovery is
-    /// the intent.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::UnknownHome`] for an unregistered id,
-    /// [`SubmitError::Shutdown`] when the workers are gone.
-    #[inline]
-    pub fn swap_model(&self, home: HomeId, model: &FittedModel) -> Result<(), SubmitError> {
-        match self.apply(ModelUpdate::Swap { home, model }) {
-            Ok(_) => Ok(()),
-            Err(UpdateError::Submit(e)) => Err(e),
-            Err(UpdateError::Fleet(_)) => {
-                unreachable!("single-home swaps fail at the submit layer")
-            }
-        }
-    }
-
-    /// Restores a (typically quarantined) home with a fresh monitor from
-    /// `model`, clearing its quarantine at an event boundary. Forwards to
-    /// [`Hub::apply`] with [`ModelUpdate::Restore`].
-    ///
-    /// Same queue semantics as [`Hub::swap_model`]; the difference is
-    /// accounting: a restore increments the home's
-    /// [`HomeReport::restores`] and the `hub.restores` counter instead of
-    /// the swap counters. Restoring a healthy home is permitted (the
-    /// monitor is simply replaced). For hands-off recovery, configure a
-    /// [`crate::RestorePolicy`] and the hub's supervisor will do this
-    /// automatically from a checkpoint file.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Hub::swap_model`].
-    #[inline]
-    pub fn restore(&self, home: HomeId, model: &FittedModel) -> Result<(), SubmitError> {
-        match self.apply(ModelUpdate::Restore { home, model }) {
-            Ok(_) => Ok(()),
-            Err(UpdateError::Submit(e)) => Err(e),
-            Err(UpdateError::Fleet(_)) => {
-                unreachable!("single-home restores fail at the submit layer")
-            }
-        }
-    }
-
     fn replace_monitor(
         &self,
         home: HomeId,
@@ -951,7 +888,7 @@ impl Hub {
     /// [`FleetError::UnknownHome`] for an unregistered id or a home with
     /// no lineage, [`FleetError::Lineage`] when only one generation
     /// exists (nothing to roll back *to* — the store is left untouched),
-    /// store load failures as for [`Hub::bulk_swap`], and
+    /// store load failures as for [`ModelUpdate::BulkSwap`], and
     /// [`FleetError::Shutdown`] when the workers are gone.
     pub fn rollback(&self, store: &ModelStore, home: HomeId) -> Result<Generation, FleetError> {
         let entry = self.entry(home).map_err(|_| FleetError::UnknownHome {
@@ -1000,46 +937,6 @@ impl Hub {
             ids.push(id);
         }
         Ok(ids)
-    }
-
-    /// Upgrades a live fleet to each home's current lineage head in
-    /// `store`, without dropping or reordering an event.
-    ///
-    /// The rollout is staged: every home's head is resolved, its blob
-    /// loaded and CRC-verified, and its replacement monitor built
-    /// *before* the first swap is enqueued — a half-corrupt store cannot
-    /// leave the fleet half-upgraded. The staged swaps are then released
-    /// in per-shard batches through the same event-boundary machinery as
-    /// [`Hub::swap_model`]: per home, every event already queued is
-    /// judged by the old model and everything submitted after this call
-    /// returns is judged by the new one. Homes are matched to store
-    /// lineages by their registered name.
-    ///
-    /// Returns `(id, generation)` for every home swapped, in
-    /// registration order. Increments `hub.bulk_swaps` once, `hub.swaps`
-    /// per home, and refreshes each `hub.home.<name>.generation` gauge.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownHome`] for an id never registered or a
-    /// registered name with no lineage in the store; store failures as
-    /// for [`Hub::bulk_load`]; [`FleetError::Shutdown`] when the
-    /// workers are gone (the rollout may then be partial — the hub is
-    /// shutting down anyway).
-    #[inline]
-    pub fn bulk_swap(
-        &self,
-        store: &ModelStore,
-        homes: &[HomeId],
-    ) -> Result<Vec<(HomeId, Generation)>, FleetError> {
-        match self.apply(ModelUpdate::BulkSwap { store, homes }) {
-            Ok(UpdateOutcome::BulkSwapped(swapped)) => Ok(swapped),
-            Ok(_) => unreachable!("bulk swaps report BulkSwapped"),
-            Err(UpdateError::Fleet(e)) => Err(e),
-            Err(UpdateError::Submit(_)) => {
-                unreachable!("bulk swaps fail at the fleet layer")
-            }
-        }
     }
 
     fn bulk_swap_inner(
@@ -1701,7 +1598,11 @@ mod tests {
         });
         let home = hub.register("home", &old_model);
         assert!(hub.submit_batch(home, &pre).unwrap().is_complete());
-        hub.swap_model(home, &new_model).unwrap();
+        hub.apply(ModelUpdate::Swap {
+            home,
+            model: &new_model,
+        })
+        .unwrap();
         assert!(hub.submit_batch(home, &post).unwrap().is_complete());
         let reports = hub.shutdown();
         assert_eq!(reports[0].verdicts, expected);
@@ -1718,8 +1619,13 @@ mod tests {
         let _ = hub.register("home", &model);
         let ghost = HomeId(9);
         assert_eq!(
-            hub.swap_model(ghost, &model),
-            Err(SubmitError::UnknownHome { home: ghost })
+            hub.apply(ModelUpdate::Swap {
+                home: ghost,
+                model: &model,
+            }),
+            Err(UpdateError::Submit(SubmitError::UnknownHome {
+                home: ghost
+            }))
         );
     }
 
@@ -1915,7 +1821,11 @@ mod tests {
         let home = hub.register("home", &model);
         hub.submit(home, BinaryEvent::new(Timestamp::from_secs(1), lamp, true))
             .unwrap();
-        hub.restore(home, &model).unwrap();
+        hub.apply(ModelUpdate::Restore {
+            home,
+            model: &model,
+        })
+        .unwrap();
         let reports = hub.shutdown();
         assert_eq!(reports[0].restores, 1);
         assert_eq!(reports[0].swaps, 0);

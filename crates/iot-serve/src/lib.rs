@@ -21,7 +21,8 @@
 //!   [`SubmitError::Quarantined`], already-queued events dropped — a
 //!   monitor's state is logically unspecified after an unwind) while
 //!   every sibling home continues with bit-identical verdicts. Recovery
-//!   is [`Hub::restore`] or an automatic [`RestorePolicy`] reloading a
+//!   is a [`ModelUpdate::Restore`] or an automatic [`RestorePolicy`]
+//!   reloading a
 //!   checkpoint, both landing at an event boundary.
 //! * **Shard supervision** — a supervisor thread detects dead worker
 //!   threads and respawns them onto the same queue and homes; the shard
@@ -36,14 +37,15 @@
 //!   supervisor and workers, and returns one [`HomeReport`] per home
 //!   (its [`iot_telemetry::MonitorReport`] plus verdicts, panics,
 //!   restores, and quarantine state).
-//! * **Zero-downtime hot-swap** — [`Hub::swap_model`] queues a monitor
-//!   replacement on the home's own shard, so it lands at an event
-//!   boundary: in-flight events drain under the old model, later events
-//!   are judged by the new one, and nothing is dropped or reordered. The
-//!   retired monitor's session report survives in
-//!   [`HomeReport::retired`]. Every way a serving model changes — swap,
-//!   restore, bulk swap, drift refit, rollback — funnels through the
-//!   unified [`Hub::apply`] / [`ModelUpdate`] lifecycle API.
+//! * **Zero-downtime hot-swap** — [`Hub::apply`] with a
+//!   [`ModelUpdate::Swap`] queues a monitor replacement on the home's own
+//!   shard, so it lands at an event boundary: in-flight events drain
+//!   under the old model, later events are judged by the new one, and
+//!   nothing is dropped or reordered. The retired monitor's session
+//!   report survives in [`HomeReport::retired`]. Every way a serving
+//!   model changes — swap, restore, bulk swap, drift refit, rollback —
+//!   funnels through the unified [`Hub::apply`] / [`ModelUpdate`]
+//!   lifecycle API.
 //! * **Online adaptation** — with an [`AdaptationPolicy`] armed, shard
 //!   workers run a per-home drift detector on the scores they already
 //!   compute; a triggered [`causaliot_core::DriftReport`] hands the

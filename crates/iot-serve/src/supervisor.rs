@@ -8,23 +8,32 @@
 //! and spawns a replacement that picks up the *same* receiver and the
 //! *same* homes, so the shard's queue resumes exactly where it stopped:
 //! nothing dropped, nothing reordered. Worker deaths are only ever
-//! detected at a burst boundary (the kill check runs before `recv`, with
-//! no drained job pending), so no job is lost in flight.
+//! detected at a burst boundary (the kill check runs before the worker
+//! takes the receiver, with no drained job pending), so no job is lost
+//! in flight.
 //!
-//! ### Burst draining
+//! ### One scoring path
 //!
-//! A hook-free worker does not `recv` one job at a time: after blocking
-//! for the first job it `try_recv`s the rest of the queue (up to
+//! A worker does not `recv` one job at a time: after blocking for the
+//! first job it `try_recv`s the rest of the queue (up to
 //! [`WORKER_BURST`]) into a reusable buffer and processes the burst in
 //! order. Consecutive `Event` jobs for the same home coalesce into one
-//! run fed to the monitor's `observe_batch_into` — one `catch_unwind`,
-//! one set of counter updates, and one receiver lock per burst instead of
-//! per event — while quarantine still lands at the *exact* panicking
-//! event and per-home FIFO order, flight-recorder sequencing, and
-//! verdicts stay bit-identical to the per-job path. Workers with a fault
-//! hook attached keep the historical job-at-a-time loop so chaos tests
-//! observe per-job kill checks and per-event `before_observe` callbacks
-//! unchanged.
+//! run; a `Batch` job is a run of its own. Every run, for every home and
+//! every hub configuration, takes the same three steps:
+//!
+//! 1. its events pass through the home's ingest guard, when one is armed;
+//! 2. what the guard releases collects in the burst scratch buffer, split
+//!    into runs that share one stale set;
+//! 3. [`ShardCore::score_batch`] scores each run — one `catch_unwind`,
+//!    one set of counter updates — and is the only code here that calls
+//!    a monitor.
+//!
+//! Quarantine still lands at the *exact* panicking event, and per-home
+//! FIFO order, flight-recorder sequencing, and verdicts (`confidence`
+//! included) stay bit-identical to observing the events one by one. A
+//! fault hook rides the same path: `kill_worker` is consulted at every
+//! burst boundary, and `before_observe` fires before each event inside
+//! `score_batch`, so the chaos suites test the code that is benchmarked.
 //!
 //! The supervisor thread also drives the hub's optional
 //! [`crate::RestorePolicy`]: it watches for quarantined homes and enqueues
@@ -57,26 +66,73 @@ use crate::util::lock;
 /// How often the supervisor checks worker liveness and quarantines.
 const SUPERVISOR_TICK: Duration = Duration::from_millis(1);
 
-/// Most jobs a hook-free worker drains from its queue in one burst.
-/// Bounds how long the worker holds the receiver lock and how much burst
-/// state accumulates before the supervisor's next kill-check boundary.
+/// Most jobs a worker drains from its queue in one burst. Bounds how
+/// long the worker holds the receiver lock and how many jobs pass between
+/// two kill checks.
 const WORKER_BURST: usize = 256;
 
-/// Scheduler yields a hook-free worker burns through an empty queue
-/// before parking in a blocking `recv` (see the acquire loop in
-/// [`worker_loop`] for why).
+/// Scheduler yields a worker burns through an empty queue before parking
+/// in a blocking `recv` (see the acquire loop in [`worker_loop`] for why).
 const IDLE_YIELDS: u32 = 256;
 
 /// Reusable worker-local buffers for burst processing — allocated once
 /// per worker incarnation, so steady-state bursts are allocation-free.
 #[derive(Default)]
 pub(crate) struct BurstScratch {
-    /// Events of the Event-job run currently being coalesced.
+    /// The current run's events ready to score, in order: what the home's
+    /// ingest guard released, or the submitted events when it has none.
     events: Vec<BinaryEvent>,
-    /// Their submission instants, parallel to `events`.
-    submitted: Vec<Instant>,
-    /// Verdict output buffer for the batched scoring path.
+    /// One entry per job that put events into `events`: the index of its
+    /// first one and the job's submission instant.
+    jobs: Vec<(usize, Instant)>,
+    /// Where the guard's stale set changes inside `events`: from each
+    /// index on, events score against the paired set (`None` when no
+    /// device is stale). Empty while nothing has been stale.
+    stale_runs: Vec<(usize, Option<StaleSet>)>,
+    /// Verdict output buffer.
     verdicts: Vec<Verdict>,
+}
+
+impl BurstScratch {
+    /// Queues one job's events for scoring. Through an ingest guard the
+    /// queued events are the guard's releases, and a new stale run starts
+    /// wherever the guard's stale set changes, so every release is scored
+    /// against the set its own offer left behind.
+    fn admit(
+        &mut self,
+        guard: Option<&mut IngestGuard<BinaryEvent>>,
+        events: &[BinaryEvent],
+        submitted: Instant,
+    ) {
+        let first = self.events.len();
+        match guard {
+            None => self.events.extend_from_slice(events),
+            Some(guard) => {
+                for &event in events {
+                    let step = guard.offer(event);
+                    if step.ready.is_empty() {
+                        continue;
+                    }
+                    let stale = stale_devices(guard);
+                    let current = self.stale_runs.last().and_then(|(_, set)| set.as_ref());
+                    if current != stale.as_ref() {
+                        self.stale_runs.push((self.events.len(), stale));
+                    }
+                    self.events.extend(step.ready);
+                }
+            }
+        }
+        if self.events.len() > first {
+            self.jobs.push((first, submitted));
+        }
+    }
+}
+
+/// The guard's current stale set, or `None` when no device is stale
+/// (degraded scoring against an empty set is plain scoring).
+fn stale_devices(guard: &IngestGuard<BinaryEvent>) -> Option<StaleSet> {
+    let stale = guard.stale_set();
+    (stale.count() > 0).then_some(stale)
 }
 
 pub(crate) enum Job {
@@ -97,6 +153,9 @@ pub(crate) enum Job {
         /// history, and drift window.
         resume: Option<Box<ResumeState>>,
     },
+    /// One submitted event. Kept apart from `Batch` because it needs no
+    /// allocation: a one-element `Vec` per `Hub::submit` would cost the
+    /// producer one per event.
     Event {
         home: usize,
         event: BinaryEvent,
@@ -144,7 +203,7 @@ pub(crate) struct HomeSlot {
     /// Events dropped because they arrived for a poisoned monitor.
     pub(crate) dropped_quarantined: u64,
     /// The home's ingestion guard, when [`crate::HubConfig::ingest`] is
-    /// configured. `None` preserves the historical direct path exactly.
+    /// configured; `None` scores events in the order they arrive.
     pub(crate) guard: Option<IngestGuard<BinaryEvent>>,
     /// Always-on live counters shared with the hub's [`crate::Hub::stats`].
     pub(crate) stats: Arc<HomeStatsCell>,
@@ -336,7 +395,8 @@ pub(crate) struct ShardCore {
 }
 
 impl ShardCore {
-    /// Processes one job to completion and accounts for it.
+    /// Processes one control job (register, swap, dump, barrier) to
+    /// completion and accounts for it.
     fn process(&self, job: Job) {
         match job {
             Job::Register {
@@ -396,39 +456,6 @@ impl ShardCore {
                         durable,
                     },
                 );
-            }
-            Job::Event {
-                home,
-                event,
-                submitted,
-            } => {
-                let _span = self.context.telemetry.span("hub.event");
-                let mut homes = lock(&self.homes);
-                if let Some(slot) = homes.get_mut(&home) {
-                    if self.ingest_and_observe(home, slot, std::iter::once(event)) {
-                        self.context
-                            .latency_us
-                            .observe(submitted.elapsed().as_secs_f64() * 1e6);
-                    }
-                }
-            }
-            Job::Batch {
-                home,
-                events,
-                submitted,
-            } => {
-                let _span = self.context.telemetry.span("hub.batch");
-                let mut homes = lock(&self.homes);
-                if let Some(slot) = homes.get_mut(&home) {
-                    if self.context.record_verdicts {
-                        slot.verdicts.reserve(events.len());
-                    }
-                    if self.ingest_and_observe(home, slot, events) {
-                        self.context
-                            .latency_us
-                            .observe(submitted.elapsed().as_secs_f64() * 1e6);
-                    }
-                }
             }
             Job::Dump { home, ack } => {
                 let homes = lock(&self.homes);
@@ -524,6 +551,9 @@ impl ShardCore {
                 let _ = ack.send(());
                 return;
             }
+            Job::Event { .. } | Job::Batch { .. } => {
+                unreachable!("process_burst scores event jobs")
+            }
         }
         self.account_job_done();
     }
@@ -540,11 +570,11 @@ impl ShardCore {
         self.context.depth_gauge.set(depth as u64);
     }
 
-    /// Processes a drained burst of jobs in queue order, coalescing
-    /// consecutive `Event` jobs for the same home into one batched
-    /// scoring run. Runs never cross a non-`Event` job or a home change,
-    /// so per-home FIFO order — including relative to swaps, dumps, and
-    /// barriers — is exactly the per-job loop's.
+    /// Processes a drained burst of jobs in queue order. Consecutive
+    /// `Event` jobs for the same home coalesce into one run; a `Batch`
+    /// job is a run of its own. Runs never cross another job or a home
+    /// change, so per-home FIFO order — including relative to swaps,
+    /// dumps, and barriers — is exactly queue order.
     fn process_burst(&self, jobs: &mut Vec<Job>, scratch: &mut BurstScratch) {
         let mut iter = jobs.drain(..).peekable();
         while let Some(job) = iter.next() {
@@ -554,118 +584,112 @@ impl ShardCore {
                     event,
                     submitted,
                 } => {
-                    scratch.events.clear();
-                    scratch.submitted.clear();
-                    scratch.events.push(event);
-                    scratch.submitted.push(submitted);
-                    while matches!(iter.peek(), Some(Job::Event { home: next, .. }) if *next == home)
-                    {
-                        let Some(Job::Event {
-                            event, submitted, ..
-                        }) = iter.next()
-                        else {
-                            unreachable!("peek said the next job is an Event");
+                    let _span = self.context.telemetry.span("hub.event");
+                    let mut homes = lock(&self.homes);
+                    let mut slot = homes.get_mut(&home);
+                    let mut run = 0;
+                    let mut next = Some((event, submitted));
+                    while let Some((event, submitted)) = next {
+                        let guard = slot.as_mut().and_then(|slot| slot.guard.as_mut());
+                        scratch.admit(guard, &[event], submitted);
+                        run += 1;
+                        next = match iter.next_if(
+                            |job| matches!(job, Job::Event { home: other, .. } if *other == home),
+                        ) {
+                            Some(Job::Event {
+                                event, submitted, ..
+                            }) => Some((event, submitted)),
+                            _ => None,
                         };
-                        scratch.events.push(event);
-                        scratch.submitted.push(submitted);
                     }
-                    self.process_event_run(home, scratch);
+                    self.score_run(home, slot, scratch);
+                    drop(homes);
+                    self.account_jobs_done(run);
                 }
                 Job::Batch {
                     home,
                     events,
                     submitted,
-                } => self.process_batch_job(home, &events, submitted, &mut scratch.verdicts),
+                } => {
+                    let _span = self.context.telemetry.span("hub.batch");
+                    let mut homes = lock(&self.homes);
+                    let mut slot = homes.get_mut(&home);
+                    let guard = slot.as_mut().and_then(|slot| slot.guard.as_mut());
+                    scratch.admit(guard, &events, submitted);
+                    self.score_run(home, slot, scratch);
+                    drop(homes);
+                    self.account_job_done();
+                }
                 other => self.process(other),
             }
         }
     }
 
-    /// Scores a coalesced run of single-event jobs for one home. The
-    /// hook-free, guard-free case goes through the batched monitor path;
-    /// otherwise each event takes the historical per-event path (the
-    /// fault hook's `before_observe` must fire per event, and ingestion
-    /// guards reorder events one at a time).
-    fn process_event_run(&self, home: usize, scratch: &mut BurstScratch) {
-        let _span = self.context.telemetry.span("hub.event");
-        let events = &scratch.events;
-        let submitted = &scratch.submitted;
-        {
-            let mut homes = lock(&self.homes);
-            if let Some(slot) = homes.get_mut(&home) {
-                if self.hook.is_none() && slot.guard.is_none() {
-                    if self.context.record_verdicts {
-                        slot.verdicts.reserve(events.len());
-                    }
-                    let scored = self.score_batch(home, slot, events, &mut scratch.verdicts);
-                    // One latency sample per *scored job*, as in the
-                    // per-job loop (quarantine-dropped and panicked
-                    // events never reported latency there either).
-                    for instant in &submitted[..scored] {
-                        self.context
-                            .latency_us
-                            .observe(instant.elapsed().as_secs_f64() * 1e6);
-                    }
-                } else {
-                    for (event, instant) in events.iter().zip(submitted) {
-                        if self.ingest_and_observe(home, slot, std::iter::once(*event)) {
-                            self.context
-                                .latency_us
-                                .observe(instant.elapsed().as_secs_f64() * 1e6);
-                        }
-                    }
-                }
+    /// Scores the run admitted into `scratch` for `home`: one
+    /// [`score_batch`](Self::score_batch) call per stale run, then one
+    /// latency sample per job with a scored event, then the job-boundary
+    /// durability housekeeping. Leaves `scratch` empty.
+    fn score_run(&self, home: usize, slot: Option<&mut HomeSlot>, scratch: &mut BurstScratch) {
+        let BurstScratch {
+            events,
+            jobs,
+            stale_runs,
+            verdicts,
+        } = scratch;
+        if let Some(slot) = slot {
+            if let Some(guard) = &slot.guard {
+                slot.stats
+                    .dead_letters
+                    .store(guard.counts().total(), Ordering::Relaxed);
             }
+            if self.context.record_verdicts {
+                slot.verdicts.reserve(events.len());
+            }
+            let mut scored = 0;
+            let (mut start, mut stale) = (0, None);
+            for (end, next) in stale_runs.drain(..).chain([(events.len(), None)]) {
+                if end > start {
+                    let stale_run = &events[start..end];
+                    scored += self.score_batch(home, slot, stale_run, stale.as_ref(), verdicts);
+                }
+                (start, stale) = (end, next);
+            }
+            // Scoring stops at a panic, so the scored events are a prefix
+            // of the run: a job scored when its first event is inside it.
+            for (_, submitted) in jobs.iter().take_while(|(first, _)| *first < scored) {
+                self.context
+                    .latency_us
+                    .observe(submitted.elapsed().as_secs_f64() * 1e6);
+            }
+            self.settle_durability(slot);
         }
-        self.account_jobs_done(events.len());
+        events.clear();
+        jobs.clear();
+        stale_runs.clear();
     }
 
-    /// Processes one `Batch` job through the batched monitor path when
-    /// eligible (no fault hook, no ingestion guard), falling back to the
-    /// historical per-event path otherwise.
-    fn process_batch_job(
-        &self,
-        home: usize,
-        events: &[BinaryEvent],
-        submitted: Instant,
-        out: &mut Vec<Verdict>,
-    ) {
-        let _span = self.context.telemetry.span("hub.batch");
-        {
-            let mut homes = lock(&self.homes);
-            if let Some(slot) = homes.get_mut(&home) {
-                if self.context.record_verdicts {
-                    slot.verdicts.reserve(events.len());
-                }
-                let scored = if self.hook.is_none() && slot.guard.is_none() {
-                    self.score_batch(home, slot, events, out) > 0
-                } else {
-                    self.ingest_and_observe(home, slot, events.iter().copied())
-                };
-                if scored {
-                    self.context
-                        .latency_us
-                        .observe(submitted.elapsed().as_secs_f64() * 1e6);
-                }
-            }
-        }
-        self.account_job_done();
-    }
-
-    /// Scores `events` against `slot`'s monitor in one batched call under
-    /// a single `catch_unwind`, returning how many events were scored.
+    /// Scores `events` against `slot`'s monitor under a single
+    /// `catch_unwind`, returning how many events were scored — the only
+    /// worker code that calls a monitor.
     ///
-    /// Quarantine semantics are exactly the per-event path's: the monitor
-    /// appends each verdict as its event completes, so on a panic the
-    /// verdict count *is* the index of the panicking event — it gets the
-    /// NaN flight-recorder entry and the frozen quarantine recording, and
-    /// the events queued behind it in the batch are counted as
-    /// quarantine-dropped.
+    /// With `stale` set, verdicts are scored in degraded mode against it
+    /// (bit-identical to one `observe_degraded` per event); the
+    /// stats-only and scores-only paths ignore it, because confidence is
+    /// visible only in a verdict. With a fault hook attached,
+    /// `before_observe(home, seq)` fires before each event and each event
+    /// is its own monitor call, inside the same `catch_unwind`.
+    ///
+    /// Quarantine lands at the exact event: the monitor counts each event
+    /// as it completes, so on a panic the scored count *is* the index of
+    /// the panicking event — it gets the NaN flight-recorder entry and
+    /// the frozen quarantine recording, and the events behind it are
+    /// counted as quarantine-dropped.
     fn score_batch(
         &self,
         home: usize,
         slot: &mut HomeSlot,
         events: &[BinaryEvent],
+        stale: Option<&StaleSet>,
         out: &mut Vec<Verdict>,
     ) -> usize {
         if slot.poisoned {
@@ -680,47 +704,53 @@ impl ShardCore {
         out.clear();
         let seq_base = slot.seq;
         // When nothing downstream can read per-event verdicts — no verdict
-        // log, no flight recorder (hook/guard already excluded by the
-        // caller) — score through the stats-only path, which skips verdict
-        // and alarm materialisation entirely. Counters, quarantine
-        // boundaries, and all monitor state stay bit-identical; only the
-        // allocations disappear.
+        // log, no flight recorder — score through the stats-only path,
+        // which skips verdict and alarm materialisation entirely.
+        // Counters, quarantine boundaries, and all monitor state stay
+        // bit-identical; only the allocations disappear.
         let discard_verdicts = !self.context.record_verdicts && slot.recorder.is_none();
         let mut drift_pending: Vec<DriftReport> = Vec::new();
-        let (outcome, scored) = if discard_verdicts {
-            let mut count = 0usize;
+        let mut count = 0usize;
+        let outcome = {
             let HomeSlot { monitor, drift, .. } = slot;
-            let outcome = match drift.as_mut() {
-                // Adaptation off: the historical stats-only path,
-                // bit-identical to an adaptation-free hub.
-                None => catch_unwind(AssertUnwindSafe(|| {
-                    monitor.observe_batch_stats_only(events, &mut count)
-                })),
-                // Adaptation armed: the same allocation-free path, with
-                // each score surfaced to the drift detector as it is
-                // produced — no verdict is ever materialised.
-                Some(drift) => {
-                    let detector = &mut drift.detector;
-                    let reports = &mut drift_pending;
-                    catch_unwind(AssertUnwindSafe(|| {
-                        monitor.observe_batch_scores_only(
-                            events,
-                            &mut count,
-                            &mut |event, score| {
-                                if let Some(report) = detector.record(event.device, score) {
-                                    reports.push(report);
-                                }
-                            },
-                        )
-                    }))
+            // With adaptation armed and verdicts discarded, each score
+            // reaches the drift detector as it is produced.
+            let mut detector = drift
+                .as_mut()
+                .filter(|_| discard_verdicts)
+                .map(|drift| &mut drift.detector);
+            let reports = &mut drift_pending;
+            let count = &mut count;
+            let mut score = |batch: &[BinaryEvent]| {
+                if !discard_verdicts {
+                    match stale {
+                        Some(stale) => monitor.observe_batch_degraded_into(batch, stale, out),
+                        None => monitor.observe_batch_into(batch, out),
+                    }
+                } else if let Some(detector) = detector.as_deref_mut() {
+                    monitor.observe_batch_scores_only(batch, count, &mut |event, score| {
+                        if let Some(report) = detector.record(event.device, score) {
+                            reports.push(report);
+                        }
+                    })
+                } else {
+                    monitor.observe_batch_stats_only(batch, count)
                 }
             };
-            (outcome, count)
+            let hook = self.hook.as_deref();
+            catch_unwind(AssertUnwindSafe(|| match hook {
+                None => score(events),
+                Some(hook) => {
+                    for (i, event) in events.iter().enumerate() {
+                        hook.before_observe(HomeId(home), seq_base + i as u64);
+                        score(std::slice::from_ref(event));
+                    }
+                }
+            }))
+        };
+        let scored = if discard_verdicts {
+            count
         } else {
-            let outcome = {
-                let monitor = &mut slot.monitor;
-                catch_unwind(AssertUnwindSafe(|| monitor.observe_batch_into(events, out)))
-            };
             // Verdicts were materialised anyway; feed their scores.
             if let Some(drift) = slot.drift.as_mut() {
                 for (event, verdict) in events.iter().zip(out.iter()) {
@@ -729,11 +759,10 @@ impl ShardCore {
                     }
                 }
             }
-            (outcome, out.len())
+            out.len()
         };
         // Scored events consumed one seq each; a panicking event consumed
-        // one more (it was offered, like the per-event path's
-        // seq-before-observe).
+        // one more (it was offered: its `before_observe` fired).
         slot.seq = seq_base + scored as u64 + outcome.is_err() as u64;
         // Only *scored* events reach the WAL, after scoring: the log is
         // exactly the stream a recovery must replay, and a panicking
@@ -802,7 +831,6 @@ impl ShardCore {
                 }
             }
         }
-        self.settle_durability(slot);
         scored
     }
 
@@ -959,183 +987,40 @@ impl ShardCore {
         }
     }
 
-    /// Runs a job's events through `slot`'s ingestion guard (when one is
-    /// configured) and scores everything the guard releases, in watermark
-    /// order. Without a guard this is the historical direct path,
-    /// bit-identical to previous releases.
-    ///
-    /// Returns `true` when at least one event was scored (the latency
-    /// histogram's trigger — events parked in the reordering buffer are
-    /// not counted until released).
-    fn ingest_and_observe(
-        &self,
-        home: usize,
-        slot: &mut HomeSlot,
-        events: impl IntoIterator<Item = BinaryEvent>,
-    ) -> bool {
-        let mut scored = false;
-        // The guard is taken out of the slot for the duration of the job
-        // so the monitor (also in the slot) can be borrowed for scoring.
-        let Some(mut guard) = slot.guard.take() else {
-            for event in events {
-                scored |= self.observe_guarded(home, slot, event, None);
-            }
-            self.settle_durability(slot);
-            return scored;
-        };
-        for event in events {
-            let step = guard.offer(event);
-            if step.ready.is_empty() {
-                continue;
-            }
-            let stale = guard.stale_set();
-            let stale = (stale.count() > 0).then_some(stale);
-            for ready in step.ready {
-                scored |= self.observe_guarded(home, slot, ready, stale.as_ref());
-            }
-        }
-        slot.stats
-            .dead_letters
-            .store(guard.counts().total(), Ordering::Relaxed);
-        slot.guard = Some(guard);
-        self.settle_durability(slot);
-        scored
-    }
-
     /// Releases every event still parked in a home's reordering buffer
     /// and scores it — the shutdown path's end-of-stream flush, run after
     /// the queues drain so nothing submitted is silently lost.
     pub(crate) fn flush_guards(&self) {
         let mut homes = lock(&self.homes);
-        for (home, slot) in homes.iter_mut() {
-            let Some(mut guard) = slot.guard.take() else {
+        let mut out = Vec::new();
+        for (&home, slot) in homes.iter_mut() {
+            let Some(guard) = slot.guard.as_mut() else {
                 continue;
             };
             let remaining = guard.flush();
-            if !remaining.is_empty() {
-                let stale = guard.stale_set();
-                let stale = (stale.count() > 0).then_some(stale);
-                for event in remaining {
-                    self.observe_guarded(*home, slot, event, stale.as_ref());
-                }
-            }
+            let stale = if remaining.is_empty() {
+                None
+            } else {
+                stale_devices(guard)
+            };
             slot.stats
                 .dead_letters
                 .store(guard.counts().total(), Ordering::Relaxed);
-            slot.guard = Some(guard);
-        }
-    }
-
-    /// Offers one event to `slot`'s monitor behind `catch_unwind`.
-    ///
-    /// Returns `true` when the event was scored. On a panic the home is
-    /// quarantined: payload captured, admission gate closed, monitor
-    /// sealed. The caller's loop (and every sibling home) continues.
-    /// With `stale` present the monitor scores in degraded mode,
-    /// discounting verdict confidence for causes conditioned on stale
-    /// devices.
-    fn observe_guarded(
-        &self,
-        home: usize,
-        slot: &mut HomeSlot,
-        event: BinaryEvent,
-        stale: Option<&StaleSet>,
-    ) -> bool {
-        if slot.poisoned {
-            slot.dropped_quarantined += 1;
-            slot.stats
-                .dropped_quarantined
-                .fetch_add(1, Ordering::Relaxed);
-            self.context.dropped_quarantined.inc();
-            return false;
-        }
-        let seq = slot.seq;
-        slot.seq += 1;
-        let hook = self.hook.as_deref();
-        let monitor = &mut slot.monitor;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(hook) = hook {
-                hook.before_observe(HomeId(home), seq);
-            }
-            match stale {
-                Some(stale) => monitor.observe_degraded(event, stale),
-                None => monitor.observe(event),
-            }
-        }));
-        match outcome {
-            Ok(verdict) => {
-                self.context.events.inc();
-                self.context.events_total.inc();
-                slot.stats.events_scored.fetch_add(1, Ordering::Relaxed);
-                self.wal_append(slot, &[event]);
-                if let Some(ring) = slot.recorder.as_mut() {
-                    ring.record(FlightEntry {
-                        seq,
-                        event,
-                        score: verdict.score,
-                        verdict: Some(verdict.clone()),
-                        panicked: false,
-                        update: None,
-                    });
-                }
-                if let Some(drift) = slot.drift.as_mut() {
-                    let mut pending = Vec::new();
-                    if let Some(report) = drift.detector.record(event.device, verdict.score) {
-                        pending.push(report);
-                    }
-                    let cap = self
-                        .context
-                        .adaptation
-                        .as_ref()
-                        .map_or(0, |p| p.refit_window);
-                    drift.push_batch(&[event], cap);
-                    self.note_drift(home, slot, pending);
-                }
-                if self.context.record_verdicts {
-                    slot.verdicts.push(verdict);
-                    slot.stats.verdicts_recorded.fetch_add(1, Ordering::Relaxed);
-                }
-                true
-            }
-            Err(payload) => {
-                slot.poisoned = true;
-                slot.health.record_panic(panic_message(payload.as_ref()));
-                self.context.quarantines.inc();
-                // The fatal event goes into the ring too (score NaN, no
-                // verdict), then the whole ring is frozen as this
-                // quarantine's evidence — the panicking event is always
-                // the recording's last entry.
-                if let Some(ring) = slot.recorder.as_mut() {
-                    ring.record(FlightEntry {
-                        seq,
-                        event,
-                        score: f64::NAN,
-                        verdict: None,
-                        panicked: true,
-                        update: None,
-                    });
-                }
-                if let Some(recording) = flight_recording(home, slot) {
-                    slot.quarantine_flights.push(recording);
-                }
-                false
+            if !remaining.is_empty() {
+                self.score_batch(home, slot, &remaining, stale.as_ref(), &mut out);
             }
         }
     }
 
-    /// Processes whatever is still queued, inline on the calling thread.
+    /// Processes whatever is still queued, inline on the calling thread,
+    /// as one burst.
     ///
     /// Shutdown fallback for a shard whose worker died after the
     /// supervisor stopped: its leftover jobs are scored here so shutdown
     /// never drops events.
     pub(crate) fn drain_remaining(&self) {
-        loop {
-            let job = match lock(&self.receiver).try_recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            };
-            self.process(job);
-        }
+        let mut jobs: Vec<Job> = lock(&self.receiver).try_iter().collect();
+        self.process_burst(&mut jobs, &mut BurstScratch::default());
     }
 }
 
@@ -1147,35 +1032,20 @@ pub(crate) fn spawn_worker(core: Arc<ShardCore>) -> JoinHandle<()> {
         .expect("spawn hub worker")
 }
 
+/// The worker body: drains whole queue bursts into a reusable buffer and
+/// processes each before the next. The loop top is a clean job boundary.
 fn worker_loop(core: &ShardCore) {
-    if core.hook.is_some() {
-        // Chaos seam attached: keep the historical job-at-a-time loop so
-        // fault schedules see per-job kill checks and per-event
-        // `before_observe` callbacks exactly as always.
-        loop {
-            // Kill check at the job boundary, *before* recv: a worker only
-            // ever dies with no job in flight, so its successor loses
-            // nothing.
-            if let Some(hook) = &core.hook {
-                if hook.kill_worker(core.context.shard, core.jobs_done.load(Ordering::Relaxed)) {
-                    panic!("injected worker death (shard {})", core.context.shard);
-                }
-            }
-            let job = match lock(&core.receiver).recv() {
-                Ok(job) => job,
-                // All senders dropped: the hub is shutting down.
-                Err(_) => return,
-            };
-            core.process(job);
-        }
-    }
-    // Hook-free fast path: drain whole queue bursts into a reusable
-    // buffer, then process them with Event-run coalescing. The burst is
-    // fully processed before the next recv, so the loop top is still a
-    // clean job boundary.
     let mut jobs: Vec<Job> = Vec::with_capacity(WORKER_BURST);
     let mut scratch = BurstScratch::default();
     loop {
+        // Kill check at the burst boundary, *before* taking the receiver:
+        // a worker only ever dies with no job in flight, so its successor
+        // loses nothing.
+        if let Some(hook) = &core.hook {
+            if hook.kill_worker(core.context.shard, core.jobs_done.load(Ordering::Relaxed)) {
+                panic!("injected worker death (shard {})", core.context.shard);
+            }
+        }
         {
             let receiver = lock(&core.receiver);
             // Adaptive acquire: burn a few scheduler yields through an

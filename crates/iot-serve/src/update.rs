@@ -1,15 +1,11 @@
 //! The unified model-lifecycle API: one [`crate::Hub::apply`] entry
 //! point for every way a serving model can change.
 //!
-//! Historically the hub grew one method per lifecycle transition —
-//! [`crate::Hub::swap_model`], [`crate::Hub::restore`],
-//! [`crate::Hub::bulk_swap`] — and the adaptation loop would have added
-//! more. [`ModelUpdate`] folds them into a single typed request, and
-//! [`UpdateReason`] records *why* a home's monitor was replaced: in the
-//! `hub.updates.<reason>` counters, in the per-home flight recorder at
-//! the swap boundary, and in [`crate::HomeReport::updates`] at shutdown.
-//! The historical methods survive as `#[inline]` forwarders, so no caller
-//! changes.
+//! [`ModelUpdate`] is the typed request — swap, restore, bulk swap,
+//! drift refit — and [`UpdateReason`] records *why* a home's monitor was
+//! replaced: in the `hub.updates.<reason>` counters, in the per-home
+//! flight recorder at the swap boundary, and in
+//! [`crate::HomeReport::updates`] at shutdown.
 
 use std::fmt;
 
@@ -29,17 +25,14 @@ use crate::hub::HomeId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum UpdateReason {
-    /// A plain operator rollout ([`crate::Hub::swap_model`] or
-    /// [`ModelUpdate::Swap`]).
+    /// A plain operator rollout ([`ModelUpdate::Swap`]).
     Rollout,
-    /// A manual recovery ([`crate::Hub::restore`] or
-    /// [`ModelUpdate::Restore`]).
+    /// A manual recovery ([`ModelUpdate::Restore`]).
     Restore,
     /// The supervisor's automatic [`crate::RestorePolicy`] recovery from
     /// a checkpoint.
     AutoRestore,
-    /// A fleet-wide store-head rollout ([`crate::Hub::bulk_swap`] or
-    /// [`ModelUpdate::BulkSwap`]).
+    /// A fleet-wide store-head rollout ([`ModelUpdate::BulkSwap`]).
     BulkSwap,
     /// The adaptation loop's background refit after drift detection
     /// ([`crate::AdaptationPolicy`]), or a manual
@@ -86,17 +79,41 @@ impl fmt::Display for UpdateReason {
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub enum ModelUpdate<'a> {
-    /// Replace `home`'s monitor with one spawned from `model` — the plain
-    /// rollout, recorded as [`UpdateReason::Rollout`].
+    /// Replace `home`'s monitor with one spawned from `model` — a
+    /// zero-downtime rollout of a refit (or checkpointed) model, recorded
+    /// as [`UpdateReason::Rollout`].
+    ///
+    /// The swap takes effect at an event boundary: every event submitted
+    /// *before* [`crate::Hub::apply`] is still judged by the old monitor
+    /// (the in-flight queue drains under the old model), every event
+    /// submitted *after* it returns by the new one, and no event is
+    /// dropped or reordered. The new monitor resumes from the new model's
+    /// end-of-training state, exactly as [`crate::Hub::register`] does.
+    /// The retired monitor's session report is kept in
+    /// [`crate::HomeReport::retired`]; the swap increments the
+    /// `hub.swaps` and per-shard `hub.shard.<i>.swaps` counters.
+    ///
+    /// Swapping a *quarantined* home is allowed and clears the quarantine
+    /// — the poisoned monitor is replaced wholesale — but is not counted
+    /// as a restore; use [`ModelUpdate::Restore`] when recovery is the
+    /// intent.
     Swap {
         /// The home to update.
         home: HomeId,
         /// The replacement model.
         model: &'a FittedModel,
     },
-    /// Replace `home`'s monitor and clear its quarantine as a *restore*
-    /// (counted in [`crate::HomeReport::restores`]), recorded as
+    /// Restore a (typically quarantined) home with a fresh monitor from
+    /// `model`, clearing its quarantine at an event boundary, recorded as
     /// [`UpdateReason::Restore`].
+    ///
+    /// Same queue semantics as [`ModelUpdate::Swap`]; the difference is
+    /// accounting: a restore increments the home's
+    /// [`crate::HomeReport::restores`] and the `hub.restores` counter
+    /// instead of the swap counters. Restoring a healthy home is
+    /// permitted (the monitor is simply replaced). For hands-off
+    /// recovery, configure a [`crate::RestorePolicy`] and the hub's
+    /// supervisor does this automatically from a checkpoint file.
     Restore {
         /// The home to restore.
         home: HomeId,
@@ -104,8 +121,21 @@ pub enum ModelUpdate<'a> {
         model: &'a FittedModel,
     },
     /// Upgrade every listed home to its current lineage head in `store`
-    /// — staged all-or-nothing, recorded as [`UpdateReason::BulkSwap`]
-    /// per home.
+    /// without dropping or reordering an event, recorded as
+    /// [`UpdateReason::BulkSwap`] per home. Homes are matched to store
+    /// lineages by their registered name.
+    ///
+    /// The rollout is staged: every home's head is resolved, its blob
+    /// loaded and CRC-verified, and its replacement monitor built
+    /// *before* the first swap is enqueued — a half-corrupt store cannot
+    /// leave the fleet half-upgraded. The staged swaps are then released
+    /// in per-shard batches through the same event-boundary machinery as
+    /// [`ModelUpdate::Swap`]. The outcome is
+    /// [`UpdateOutcome::BulkSwapped`]; the rollout increments
+    /// `hub.bulk_swaps` once, `hub.swaps` per home, and refreshes each
+    /// `hub.home.<name>.generation` gauge. If the workers are gone
+    /// ([`FleetError::Shutdown`]) the rollout may be partial — the hub
+    /// is shutting down anyway.
     BulkSwap {
         /// The model store holding each home's lineage.
         store: &'a ModelStore,

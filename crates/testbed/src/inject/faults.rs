@@ -67,9 +67,9 @@ impl FaultSchedule {
         self
     }
 
-    /// Kills shard `shard`'s worker thread at the first job boundary
-    /// where it has processed at least `after_jobs` jobs (cumulative
-    /// across worker incarnations).
+    /// Kills shard `shard`'s worker thread at the first burst boundary
+    /// (the hub's kill check) where it has processed at least
+    /// `after_jobs` jobs (cumulative across worker incarnations).
     pub fn kill_at(mut self, shard: usize, after_jobs: u64) -> Self {
         self.kills.push(ScheduledKill {
             shard,

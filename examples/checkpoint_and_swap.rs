@@ -153,7 +153,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     banner("Hot-swap the restored model into the running hub");
     for &home in &homes {
-        hub.swap_model(home, &restored)?;
+        hub.apply(ModelUpdate::Swap {
+            home,
+            model: &restored,
+        })?;
     }
     // Post-swap traffic follows the *new* automation; the refreshed DIG
     // judges it with no downtime and no dropped events.

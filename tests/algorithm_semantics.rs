@@ -1,10 +1,10 @@
 //! Integration tests pinning the exact semantics of Algorithm 2 and the
-//! implemented extensions (PC-stable, Pearson χ², adaptive monitoring) on
-//! realistic fitted models.
+//! implemented extensions (PC-stable, Pearson χ²) on realistic fitted
+//! models.
 
 use causaliot::graph::UnseenContext;
 use causaliot::miner::{mine_dig, mine_dig_stable, MinerConfig};
-use causaliot::monitor::{AdaptiveConfig, AdaptiveMonitor, AlarmKind};
+use causaliot::monitor::AlarmKind;
 use causaliot::pipeline::CausalIot;
 use causaliot::snapshot::SnapshotData;
 use integration_tests::TEST_SEED;
@@ -157,41 +157,4 @@ fn pc_stable_and_pearson_mine_usable_models_on_the_testbed() {
             b.len()
         );
     }
-}
-
-#[test]
-fn adaptive_monitor_runs_on_a_fitted_home_model() {
-    let (profile, model) = fitted_home();
-    let registry = profile.registry();
-    let mut adaptive = AdaptiveMonitor::new(
-        model.dig().clone(),
-        SystemState::all_off(registry.len()),
-        AdaptiveConfig::new(model.threshold(), 99.0),
-    );
-    let stove = registry.id_of("P_stove").unwrap();
-    // A ghost activation in the quiet home alarms; amending it teaches the
-    // model, and the identical recurring pattern eventually clears.
-    let mut alarmed_first = false;
-    let mut last_anomalous = true;
-    for i in 0..40u64 {
-        let on = adaptive.observe(BinaryEvent::new(
-            Timestamp::from_secs(800_000 + 120 * i),
-            stove,
-            true,
-        ));
-        if i == 0 {
-            alarmed_first = on.anomalous;
-        }
-        if on.anomalous {
-            adaptive.amend_last();
-        }
-        last_anomalous = on.anomalous;
-        adaptive.observe(BinaryEvent::new(
-            Timestamp::from_secs(800_060 + 120 * i),
-            stove,
-            false,
-        ));
-    }
-    assert!(alarmed_first, "ghost stove must alarm before adaptation");
-    assert!(!last_anomalous, "amended routine must stop alarming");
 }

@@ -182,18 +182,11 @@ fn observation_api_signatures_are_pinned() {
 fn model_lifecycle_api_signatures_are_pinned() {
     use causaliot::fleet::{FleetError, Generation, ModelHash, ModelStore};
     use causaliot::FittedModel;
-    use iot_serve::{
-        HomeId, Hub, ModelUpdate, SubmitError, UpdateError, UpdateOutcome, UpdateReason,
-    };
+    use iot_serve::{HomeId, Hub, ModelUpdate, UpdateError, UpdateOutcome, UpdateReason};
 
     // The unified lifecycle entry point every model change routes
-    // through...
+    // through.
     let _apply: fn(&Hub, ModelUpdate<'_>) -> Result<UpdateOutcome, UpdateError> = Hub::apply;
-    // ...and the historical methods, kept as `#[inline]` forwarders.
-    let _swap: fn(&Hub, HomeId, &FittedModel) -> Result<(), SubmitError> = Hub::swap_model;
-    let _restore: fn(&Hub, HomeId, &FittedModel) -> Result<(), SubmitError> = Hub::restore;
-    let _bulk: fn(&Hub, &ModelStore, &[HomeId]) -> Result<Vec<(HomeId, Generation)>, FleetError> =
-        Hub::bulk_swap;
     // Rollback reverts a home to its prior lineage generation through
     // the same swap path.
     let _rollback: fn(&Hub, &ModelStore, HomeId) -> Result<Generation, FleetError> = Hub::rollback;
@@ -262,6 +255,12 @@ fn durability_api_signatures_are_pinned() {
     // Recovery reports cross thread boundaries with the hub.
     assert_send_sync_static::<RecoveryReport>();
     assert_send_sync_static::<iot_serve::HomeRecovery>();
+
+    // One atomic-write helper behind every durable file: checkpoints and
+    // snapshots go through `<path>.tmp`, the model store through a
+    // temporary name of its own per process.
+    let _write_via: fn(&std::path::Path, &std::path::Path, &[u8]) -> std::io::Result<()> =
+        causaliot::persist::write_atomic_via;
 }
 
 #[test]

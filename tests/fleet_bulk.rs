@@ -1,14 +1,14 @@
 //! Hub × model-store integration: `bulk_load` must serve exactly the
-//! models the store's lineage heads name, and `bulk_swap` on a *live*
-//! hub — concurrent producers, events genuinely in flight — must be
-//! verdict-identical to sequentially `swap_model`ing each home.
+//! models the store's lineage heads name, and a `ModelUpdate::BulkSwap`
+//! on a *live* hub — concurrent producers, events genuinely in flight —
+//! must be verdict-identical to a `ModelUpdate::Swap` per home.
 
 use std::sync::Barrier;
 
 use causaliot::fleet::{FleetError, ModelStore};
 use causaliot::{CausalIot, FittedModel, OwnedMonitor, Verdict};
 use iot_model::{Attribute, BinaryEvent, DeviceRegistry, Room, Timestamp};
-use iot_serve::{Hub, HubConfig, SubmitError};
+use iot_serve::{Hub, HubConfig, ModelUpdate, SubmitError, UpdateOutcome};
 use iot_telemetry::TelemetryHandle;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -184,8 +184,8 @@ fn bulk_load_is_all_or_nothing() {
     assert_eq!(hub.num_homes(), 0, "a failed bulk_load must not register");
 }
 
-/// The acceptance gate: upgrading a live fleet with one `bulk_swap` must
-/// be verdict-identical to sequential per-home `swap_model` calls, with
+/// The acceptance gate: upgrading a live fleet with one bulk swap must
+/// be verdict-identical to sequential per-home swaps, with
 /// concurrent producers and events genuinely in flight (no drain before
 /// the swap). Per home the ordering pre-events → swap → post-events is
 /// pinned with barriers so both hubs score the same sequences; what
@@ -260,20 +260,26 @@ fn bulk_swap_is_verdict_identical_to_sequential_swaps_under_live_producers() {
         reports.into_iter().map(|r| r.verdicts).collect()
     };
 
-    // Sequential baseline: per-home swap_model with gen B.
+    // Sequential baseline: one swap per home to gen B.
     let sequential = run(&|hub, ids| {
-        for (id, model) in ids.iter().zip(&gen_b) {
-            hub.swap_model(*id, model).unwrap();
+        for (&home, model) in ids.iter().zip(&gen_b) {
+            hub.apply(ModelUpdate::Swap { home, model }).unwrap();
         }
     });
 
-    // Now advance every lineage to gen B and roll out with one bulk_swap.
+    // Now advance every lineage to gen B and roll out with one bulk swap.
     for (name, model) in names.iter().zip(&gen_b) {
         let hash = scratch.store.put(model).unwrap();
         scratch.store.commit(name, hash).unwrap();
     }
     let bulk = run(&|hub, ids| {
-        let swapped = hub.bulk_swap(&scratch.store, ids).unwrap();
+        let update = ModelUpdate::BulkSwap {
+            store: &scratch.store,
+            homes: ids,
+        };
+        let UpdateOutcome::BulkSwapped(swapped) = hub.apply(update).unwrap() else {
+            unreachable!("a bulk swap reports BulkSwapped");
+        };
         assert_eq!(swapped.len(), HOMES);
         for (_, generation) in &swapped {
             assert_eq!(
@@ -287,7 +293,7 @@ fn bulk_swap_is_verdict_identical_to_sequential_swaps_under_live_producers() {
         assert_eq!(
             sequential[h],
             bulk[h],
-            "home {h}: bulk_swap diverged from sequential swap_model ({} vs {} verdicts)",
+            "home {h}: the bulk swap diverged from sequential swaps ({} vs {} verdicts)",
             sequential[h].len(),
             bulk[h].len()
         );

@@ -5,7 +5,7 @@
 
 use causaliot::{CausalIot, FittedModel, OwnedMonitor, Verdict};
 use iot_model::{Attribute, BinaryEvent, DeviceRegistry, Room, Timestamp};
-use iot_serve::{Hub, HubConfig, SubmitError};
+use iot_serve::{Hub, HubConfig, ModelUpdate, SubmitError};
 use iot_telemetry::TelemetryHandle;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -288,7 +288,11 @@ fn hot_swap_under_concurrent_producers_is_exact_and_lossless() {
                 for event in pre {
                     push(*event);
                 }
-                hub.swap_model(home, new_model).expect("swap accepted");
+                hub.apply(ModelUpdate::Swap {
+                    home,
+                    model: new_model,
+                })
+                .expect("swap accepted");
                 for event in post {
                     push(*event);
                 }

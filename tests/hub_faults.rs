@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use causaliot::{CausalIot, FittedModel, Verdict};
 use iot_model::{Attribute, BinaryEvent, DeviceId, DeviceRegistry, Room, Timestamp};
 use iot_serve::{
-    BackoffPolicy, FaultHook, Hub, HubConfig, RestorePolicy, SubmitError, SubmitPolicy,
+    BackoffPolicy, FaultHook, Hub, HubConfig, ModelUpdate, RestorePolicy, SubmitError, SubmitPolicy,
 };
 use iot_telemetry::TelemetryHandle;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -212,7 +212,11 @@ fn quarantine_then_manual_restore_roundtrips() {
     }
 
     // Manual restore: fresh monitor from the same model, gate re-opens.
-    hub.restore(home, &model).unwrap();
+    hub.apply(ModelUpdate::Restore {
+        home,
+        model: &model,
+    })
+    .unwrap();
     hub.drain();
     assert!(!hub.is_quarantined(home));
     assert!(hub.submit_batch(home, &post).unwrap().is_complete());
@@ -343,7 +347,7 @@ fn supervised_shard_survives_worker_deaths_losslessly() {
     assert_eq!(telemetry.counter("hub.shard.0.restarts").get(), 2);
 }
 
-/// A hook that (while engaged) stalls the worker at every job boundary,
+/// A hook that (while engaged) stalls the worker at every burst boundary,
 /// making full-queue conditions deterministic for the submit policies.
 struct StallWorker {
     engaged: AtomicBool,
@@ -420,7 +424,7 @@ fn retry_policy_counts_retries_and_eventually_succeeds() {
     );
     let home = hub.register("home", &model);
     // Each submission may need retries while the worker crawls (5ms per
-    // job boundary), but the budget is ample: all must land.
+    // burst boundary), but the budget is ample: all must land.
     for i in 0..10u64 {
         hub.submit(
             home,
@@ -687,4 +691,273 @@ fn burst_batches_preserve_ordering_and_exact_quarantine_boundary() {
         telemetry.counter("hub.quarantine_dropped").get(),
         victim_report.dropped_quarantined
     );
+}
+
+/// The liveness timeout of the degraded-ingest scenario: twenty of
+/// `home_stream`'s 30-s event gaps.
+const LIVENESS: Duration = Duration::from_secs(600);
+
+/// `home_stream` with `PE_room` silent over two stretches of sixty
+/// events, three times [`LIVENESS`]: the presence sensor goes stale
+/// inside each and is live again at its next reading.
+fn silent_stream(reg: &DeviceRegistry, seed: u64, len: usize) -> Vec<BinaryEvent> {
+    let lamp = reg.id_of("S_lamp").unwrap();
+    let mut stream = home_stream(reg, seed, len);
+    for silence in [len / 5..len * 2 / 5, len * 3 / 5..len * 4 / 5] {
+        for event in &mut stream[silence] {
+            event.device = lamp;
+        }
+    }
+    stream
+}
+
+/// How one home's stream is submitted: consecutive spans, each one job —
+/// `submit` for a span of one event, `submit_batch` for a longer one.
+fn submission_plan(rng: &mut StdRng, len: usize) -> Vec<std::ops::Range<usize>> {
+    let mut spans = Vec::new();
+    let mut at = 0;
+    while at < len {
+        let n = if rng.gen_bool(0.3) {
+            1
+        } else {
+            rng.gen_range(16..=64)
+        };
+        let end = (at + n).min(len);
+        spans.push(at..end);
+        at = end;
+    }
+    spans
+}
+
+/// One event at a time through an ingest guard: every release is scored
+/// with `observe_degraded` against the stale set of the offer that
+/// released it, and the end-of-stream flush against the final set.
+struct GuardedReference {
+    /// One verdict per release, in release (= per-home seq) order.
+    verdicts: Vec<Verdict>,
+    /// The released events, parallel to `verdicts`.
+    released: Vec<BinaryEvent>,
+    /// For each release, the stream position of the offer that released
+    /// it (the stream length for the final flush).
+    offer_of: Vec<usize>,
+    /// Stream positions whose offer changed the stale set.
+    stale_changes: Vec<usize>,
+}
+
+fn guarded_reference(
+    model: &FittedModel,
+    policy: causaliot::IngestPolicy,
+    stream: &[BinaryEvent],
+) -> GuardedReference {
+    let mut guard = causaliot::IngestGuard::<BinaryEvent>::new(policy, model.num_devices());
+    let mut monitor = model.clone().into_monitor();
+    let mut reference = GuardedReference {
+        verdicts: Vec::new(),
+        released: Vec::new(),
+        offer_of: Vec::new(),
+        stale_changes: Vec::new(),
+    };
+    let mut last_stale = guard.stale_set();
+    let mut score = |ready: Vec<BinaryEvent>, stale: &causaliot::StaleSet, at: usize| {
+        for event in ready {
+            reference
+                .verdicts
+                .push(monitor.observe_degraded(event, stale));
+            reference.released.push(event);
+            reference.offer_of.push(at);
+        }
+    };
+    for (at, event) in stream.iter().enumerate() {
+        let step = guard.offer(*event);
+        if step.ready.is_empty() {
+            continue;
+        }
+        let stale = guard.stale_set();
+        if stale != last_stale {
+            reference.stale_changes.push(at);
+            last_stale = stale.clone();
+        }
+        score(step.ready, &stale, at);
+    }
+    let remaining = guard.flush();
+    score(remaining, &guard.stale_set(), stream.len());
+    reference
+}
+
+/// Degraded ingest through the hub's one scoring path: four homes behind
+/// an ingest guard with a liveness clock, fed in-window jitter and a
+/// presence sensor that falls silent twice, submitted as a seeded mix of
+/// `submit` and `submit_batch` jobs so stale-set changes fall *inside*
+/// batch jobs. Every home's verdicts — `confidence` included — must be
+/// bit-identical to scoring one guard offer at a time, and some must be
+/// degraded.
+#[test]
+fn degraded_ingest_scores_every_stale_run_like_per_offer_scoring() {
+    install_quiet_panic_hook();
+    for seed in chaos_seeds() {
+        degraded_ingest_case(seed, false);
+    }
+}
+
+/// [`degraded_ingest_scores_every_stale_run_like_per_offer_scoring`]
+/// with a fault hook: a scheduled monitor panic inside a batch job, one
+/// release after a stale-set change, and a worker kill on the victim's
+/// shard. The victim's verdicts must be an exact prefix ending
+/// at the panic, its quarantine recording must end at the panicking
+/// seq, every sibling must stay bit-identical, and the kill must fire.
+#[test]
+fn degraded_ingest_with_faults_quarantines_at_the_exact_event() {
+    install_quiet_panic_hook();
+    for seed in chaos_seeds() {
+        degraded_ingest_case(seed, true);
+    }
+}
+
+fn degraded_ingest_case(seed: u64, faults: bool) {
+    use causaliot::IngestPolicy;
+    use testbed::inject::{corrupt_stream, ChaosSpec};
+
+    const HOMES: usize = 4;
+    const WORKERS: usize = 2;
+    let (reg, model) = fitted_model(seed);
+    let spec = ChaosSpec {
+        swaps: 8,
+        stragglers: 0,
+        regressions: 0,
+        unknown_devices: 0,
+        ..ChaosSpec::default()
+    };
+    let policy = IngestPolicy {
+        reorder_window: spec.reorder_window,
+        max_skew: spec.max_skew,
+        liveness_timeout: Some(LIVENESS),
+        ..IngestPolicy::default()
+    };
+    let mut streams = Vec::new();
+    let mut plans = Vec::new();
+    let mut references = Vec::new();
+    for h in 0..HOMES as u64 {
+        let clean = silent_stream(&reg, seed * 10 + h, 300);
+        let mut rng = StdRng::seed_from_u64(seed ^ (h << 32) ^ 0x5a1e);
+        let stream = corrupt_stream(&clean, model.num_devices(), &spec, &mut rng).events;
+        plans.push(submission_plan(&mut rng, stream.len()));
+        references.push(guarded_reference(&model, policy, &stream));
+        streams.push(stream);
+    }
+
+    // The victim panics one release after the first stale-set change
+    // strictly inside a batch job, with that release in the same job and
+    // the same stale run: the panic is the first event of neither a job
+    // nor a monitor call, and the run before it splits off mid-job.
+    let (victim, panic_seq) = (0..HOMES)
+        .flat_map(|h| references[h].stale_changes.iter().map(move |&at| (h, at)))
+        .find_map(|(h, at)| {
+            let reference = &references[h];
+            let job = plans[h]
+                .iter()
+                .find(|span| span.len() > 1 && span.start < at && at < span.end)?;
+            let seq = reference.offer_of.iter().position(|&offer| offer == at)? + 1;
+            let offer = *reference.offer_of.get(seq)?;
+            let same_run = offer == at || !reference.stale_changes.contains(&offer);
+            (offer < job.end && same_run).then_some((h, seq))
+        })
+        .unwrap_or_else(|| panic!("seed {seed}: no stale-set change falls inside a batch job"));
+    let victim_shard = victim % WORKERS;
+    let shard_jobs: usize = (0..HOMES)
+        .filter(|h| h % WORKERS == victim_shard)
+        .map(|h| plans[h].len())
+        .sum();
+
+    let schedule = Arc::new(if faults {
+        FaultSchedule::new()
+            .panic_at(victim, panic_seq as u64)
+            .kill_at(victim_shard, shard_jobs as u64 / 2)
+    } else {
+        FaultSchedule::new()
+    });
+    let mut hub = Hub::with_fault_hook(
+        HubConfig::builder()
+            .workers(WORKERS)
+            .queue_capacity(1 << 14)
+            .ingest(policy)
+            .flight_recorder(8)
+            .record_verdicts(true)
+            .try_build()
+            .unwrap(),
+        &TelemetryHandle::with_noop_sink(),
+        Arc::clone(&schedule) as Arc<dyn FaultHook>,
+    );
+    let ids: Vec<_> = (0..HOMES)
+        .map(|h| hub.register(&format!("home-{h}"), &model))
+        .collect();
+
+    // Round-robin over the homes' jobs, so each shard's queue interleaves
+    // its two homes and both submission shapes.
+    let mut quarantined = [false; HOMES];
+    let rounds = plans.iter().map(Vec::len).max().unwrap_or(0);
+    for round in 0..rounds {
+        for h in 0..HOMES {
+            let Some(span) = plans[h].get(round) else {
+                continue;
+            };
+            if quarantined[h] {
+                continue;
+            }
+            let events = &streams[h][span.clone()];
+            let submitted = match events {
+                [event] => hub.submit(ids[h], *event),
+                _ => hub
+                    .submit_batch(ids[h], events)
+                    .map(|outcome| assert!(outcome.is_complete())),
+            };
+            match submitted {
+                Ok(()) => {}
+                Err(SubmitError::Quarantined(_)) if faults && h == victim => {
+                    quarantined[h] = true;
+                }
+                Err(e) => panic!("seed {seed} home {h}: unexpected submit error: {e}"),
+            }
+        }
+    }
+    let reports = hub.shutdown();
+
+    for (h, report) in reports.iter().enumerate() {
+        let expected = &references[h];
+        if faults && h == victim {
+            assert_eq!(
+                report.verdicts[..],
+                expected.verdicts[..panic_seq],
+                "seed {seed} victim {h}: not an exact prefix ending at the panic"
+            );
+            assert!(report.quarantined, "seed {seed} victim {h}");
+            let recording = report
+                .quarantine_flights
+                .last()
+                .expect("a quarantine freezes the flight recording");
+            let last = recording.entries.last().expect("non-empty recording");
+            assert!(last.panicked, "seed {seed} victim {h}");
+            assert_eq!(last.seq, panic_seq as u64, "seed {seed} victim {h}");
+            assert_eq!(last.event, expected.released[panic_seq]);
+            continue;
+        }
+        assert_eq!(
+            report.verdicts, expected.verdicts,
+            "seed {seed} home {h}: verdicts diverged from per-offer scoring"
+        );
+        for (got, want) in report.verdicts.iter().zip(&expected.verdicts) {
+            assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+        }
+        assert!(!report.quarantined, "seed {seed} home {h}");
+    }
+    assert!(
+        reports
+            .iter()
+            .flat_map(|report| &report.verdicts)
+            .any(|verdict| verdict.confidence < 1.0),
+        "seed {seed}: no verdict was scored in degraded mode"
+    );
+    if faults {
+        assert_eq!(schedule.panics_fired(), 1, "seed {seed}");
+        assert_eq!(schedule.kills_fired(), 1, "seed {seed}");
+    }
 }
