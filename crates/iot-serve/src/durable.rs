@@ -26,7 +26,14 @@
 //! Snapshots are only ever taken at event boundaries, and a successful
 //! snapshot rotates the WAL: the old segment is sealed, the snapshot
 //! records the next epoch, a fresh segment opens, and older segments are
-//! deleted — the WAL tail never grows past one snapshot interval.
+//! deleted — the WAL tail never grows past one snapshot interval. The
+//! drift window is persisted capped at the policy's `refit_window`, the
+//! view a refit would see, not the serving buffer's amortisation slack.
+//!
+//! Recovery writes no snapshot. It resumes the live segment where the
+//! crash left it (truncated to its last verified record) and counts the
+//! replayed tail toward the snapshot cadence, so the next rotation lands
+//! where it would have and the tail still never outgrows one interval.
 
 use std::fs;
 use std::io;
@@ -43,6 +50,7 @@ use iot_model::{BinaryEvent, DeviceId, SystemState, Timestamp};
 
 use crate::config::DurabilityPolicy;
 use crate::hub::HomeId;
+use crate::supervisor::DriftState;
 use crate::wal::{parse_segment_epoch, segment_file_name, SegmentWriter};
 
 /// First line of every hub snapshot document.
@@ -135,20 +143,25 @@ impl DurableHome {
     ) -> io::Result<DurableHome> {
         fs::create_dir_all(&dir)?;
         write_atomic(&dir.join(META_FILE), format!("{name}\n").as_bytes())?;
-        Self::open_at(dir, 0, policy, snapshot_every)
+        let writer = SegmentWriter::create(dir.join(segment_file_name(0)))?;
+        Ok(Self::resume(dir, 0, writer, 0, policy, snapshot_every))
     }
 
-    /// Opens a durable home at an existing directory with a fresh WAL
-    /// segment at `epoch` — the recovery path, after the post-recovery
-    /// snapshot has recorded `epoch` as the next to replay.
-    pub(crate) fn open_at(
+    /// A durable home whose WAL continues in `writer`, segment `epoch`:
+    /// segment 0 for a fresh home; on recovery, the segment a crash left
+    /// unsealed, reopened, or a fresh one after a sealed tail. `logged`
+    /// counts the events already in the log since the last snapshot (the
+    /// replayed tail), so the snapshot cadence carries on across the
+    /// restart.
+    pub(crate) fn resume(
         dir: PathBuf,
         epoch: u64,
+        writer: SegmentWriter,
+        logged: u64,
         policy: DurabilityPolicy,
         snapshot_every: u64,
-    ) -> io::Result<DurableHome> {
-        let writer = SegmentWriter::create(dir.join(segment_file_name(epoch)))?;
-        Ok(DurableHome {
+    ) -> DurableHome {
+        DurableHome {
             dir,
             writer,
             epoch,
@@ -156,9 +169,9 @@ impl DurableHome {
             snapshot_every,
             events_since_sync: 0,
             last_sync: Instant::now(),
-            events_since_snapshot: 0,
+            events_since_snapshot: logged,
             dirty: false,
-        })
+        }
     }
 
     /// Where the home's model checkpoint lives.
@@ -251,7 +264,7 @@ impl DurableHome {
     }
 }
 
-/// The serving-layer state a worker restores into a freshly registered
+/// The serving-layer state a worker installs into a freshly registered
 /// slot when a home is recovered (or, for a fresh registration with
 /// durability armed, just the open [`DurableHome`]).
 pub(crate) struct ResumeState {
@@ -260,13 +273,14 @@ pub(crate) struct ResumeState {
     /// The recorded verdict history (empty unless
     /// [`crate::HubConfig::record_verdicts`] is on).
     pub(crate) verdicts: Vec<Verdict>,
-    /// Drift-detector state to restore, when adaptation is armed.
-    pub(crate) drift: Option<DriftResume>,
+    /// The recovered drift state, when adaptation is armed (`None` for a
+    /// fresh registration, whose worker seeds it from the model).
+    pub(crate) drift: Option<DriftState>,
     /// The home's open durability handle.
     pub(crate) durable: DurableHome,
 }
 
-/// Drift-detector runtime state carried through recovery.
+/// Drift-detector runtime state as a snapshot document carries it.
 #[derive(Debug)]
 pub(crate) struct DriftResume {
     pub(crate) samples: Vec<(DeviceId, bool, f64)>,
@@ -276,13 +290,14 @@ pub(crate) struct DriftResume {
     pub(crate) base_state: SystemState,
 }
 
-/// Borrowed drift state for snapshot rendering.
+/// Drift state for snapshot rendering, borrowing the event window.
 pub(crate) struct DriftParts<'a> {
     pub(crate) since_check: usize,
     pub(crate) events_seen: u64,
     pub(crate) samples: Vec<(DeviceId, bool, f64)>,
     pub(crate) window: &'a [BinaryEvent],
-    pub(crate) base_state: &'a SystemState,
+    /// The system state just before `window[0]`.
+    pub(crate) base_state: SystemState,
 }
 
 /// A parsed snapshot document.
@@ -407,6 +422,15 @@ fn field<T: FromStr>(parts: &mut SplitWhitespace, line: usize, what: &str) -> Re
         .map_err(|_| snap_err(line, format!("unparseable {what}")))
 }
 
+/// The line at `*i`, borrowed from the document, advancing `*i` past it.
+fn take<'t>(lines: &[&'t str], i: &mut usize, what: &str) -> Result<&'t str, String> {
+    let line = lines
+        .get(*i)
+        .ok_or_else(|| snap_err(*i + 1, format!("missing {what}")))?;
+    *i += 1;
+    Ok(line)
+}
+
 fn bool01(parts: &mut SplitWhitespace, line: usize, what: &str) -> Result<bool, String> {
     match field::<u8>(parts, line, what)? {
         0 => Ok(false),
@@ -435,13 +459,6 @@ pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, String> {
     }
     let lines: Vec<&str> = text[..pos].lines().collect();
     let mut i = 0usize;
-    let take = |lines: &[&str], i: &mut usize, what: &str| -> Result<String, String> {
-        let line = lines
-            .get(*i)
-            .ok_or_else(|| snap_err(*i + 1, format!("missing {what}")))?;
-        *i += 1;
-        Ok((*line).to_string())
-    };
     if take(&lines, &mut i, "magic")? != MAGIC {
         return Err(snap_err(1, "bad magic"));
     }
@@ -664,7 +681,8 @@ pub struct HomeRecovery {
     /// were skipped or replayed during recovery.
     pub sealed_segments: usize,
     /// Byte offset of a torn (partially written) final record discarded
-    /// from the last segment, if the crash left one.
+    /// from the last segment, if the crash left one. Recovery truncates
+    /// the segment there before appending to it again.
     pub torn_tail: Option<u64>,
 }
 
@@ -739,7 +757,7 @@ mod tests {
                 (DeviceId::from_index(1), false, f64::NEG_INFINITY),
             ],
             window: &window,
-            base_state: &base,
+            base_state: base,
         };
         let mut doc = render_snapshot(42, 3, MONITOR_DOC, Some(&verdicts), Some(&drift));
         append_crc_footer(&mut doc);

@@ -22,9 +22,8 @@ use iot_telemetry::{
 
 use crate::config::{DurabilityConfig, HubConfig, SubmitPolicy};
 use crate::durable::{
-    home_dir, list_home_dirs, list_segments, parse_snapshot, render_snapshot, write_snapshot,
-    DriftParts, DriftResume, DurableHome, HomeRecovery, RecoveryReport, ResumeState, META_FILE,
-    MODEL_FILE, SNAP_FILE,
+    home_dir, list_home_dirs, list_segments, parse_snapshot, DurableHome, HomeRecovery,
+    RecoveryReport, ResumeState, META_FILE, MODEL_FILE, SNAP_FILE,
 };
 use crate::error::{QuarantinedError, RecoveryError, ShutdownTimeout};
 use crate::fault::{FaultHook, HomeHealth};
@@ -36,7 +35,7 @@ use crate::supervisor::{
 };
 use crate::update::{ModelUpdate, UpdateError, UpdateOutcome, UpdateReason};
 use crate::util::lock;
-use crate::wal::{replay_segment, SegmentOutcome};
+use crate::wal::{replay_segment, segment_file_name, SegmentOutcome, SegmentWriter};
 use crate::SubmitError;
 
 /// How long one [`crate::SubmitPolicy::Block`] wait-for-space pause lasts.
@@ -624,8 +623,13 @@ impl Hub {
     /// order: loads the model checkpoint, restores the latest live-state
     /// snapshot (monitor runtime state, sequence number, verdict history,
     /// drift window), replays the WAL tail through the restored monitor,
-    /// publishes a fresh post-recovery snapshot, and re-registers the
-    /// home under its original id and name. The resumed hub's verdict
+    /// reopens the WAL where it stopped, and re-registers the home under
+    /// its original id and name. Recovery writes no snapshot: an unsealed
+    /// last segment is truncated to its last verified record and appended
+    /// to (a sealed one gives way to a fresh segment), and the replayed
+    /// tail counts toward the snapshot cadence. A second crash therefore
+    /// replays the same snapshot plus a longer tail, which the cadence
+    /// still bounds to one snapshot interval. The resumed hub's verdict
     /// stream — for every event the durability policy had made durable —
     /// is **bit-identical** to an uninterrupted run; the
     /// [`RecoveryReport`] tells the caller each home's durable event
@@ -641,7 +645,7 @@ impl Hub {
     /// # Errors
     ///
     /// [`RecoveryError::NotArmed`] when `config` has no armed
-    /// [`crate::DurabilityConfig`]; [`RecoveryError::Io`] on read
+    /// [`crate::DurabilityConfig`]; [`RecoveryError::Io`] on I/O
     /// failures; [`RecoveryError::Corrupt`] for a checkpoint, snapshot,
     /// or WAL record that fails verification, or a non-dense /
     /// gap-containing home or segment layout.
@@ -653,7 +657,11 @@ impl Hub {
         Self::recover_with_telemetry(config, &TelemetryHandle::from_env())
     }
 
-    /// [`Hub::recover`] reporting to an explicit telemetry handle.
+    /// [`Hub::recover`] reporting to an explicit telemetry handle. Each
+    /// home's recovery phases are spans on it: `hub.recover.load` (name
+    /// and model checkpoint), `hub.recover.snapshot` (read, verify, parse
+    /// and restore), `hub.recover.replay` (WAL decode and re-scoring) and
+    /// `hub.recover.resume` (the segment reopened or opened).
     ///
     /// # Errors
     ///
@@ -1270,7 +1278,10 @@ struct RecoveredHome {
 }
 
 /// Rebuilds one home from its durable directory: checkpoint → snapshot →
-/// WAL-tail replay → post-recovery snapshot + fresh segment.
+/// WAL-tail replay → the live segment reopened for append (or a fresh
+/// one after a sealed tail). Writes no snapshot: the one it restored
+/// plus the resumed log still replay to the same point after a second
+/// crash. Each phase is a `hub.recover.*` span on `telemetry`.
 fn recover_home(
     id: usize,
     dir: &Path,
@@ -1278,6 +1289,7 @@ fn recover_home(
     config: &HubConfig,
     telemetry: &TelemetryHandle,
 ) -> Result<RecoveredHome, RecoveryError> {
+    let load = telemetry.span("hub.recover.load");
     let meta_path = dir.join(META_FILE);
     let name = fs::read_to_string(&meta_path)?.trim_end().to_string();
     if name.is_empty() {
@@ -1294,16 +1306,16 @@ fn recover_home(
                 detail: e.to_string(),
             }
         })?;
+    load.finish();
+
+    let snapshot = telemetry.span("hub.recover.snapshot");
     let mut monitor = model.clone().into_monitor();
+    let adaptation = config.adaptation.as_ref();
     // Drift state is rebuilt alongside the monitor so the recovered
     // detector has seen exactly what the monitor has. (The drift *report
     // history* is not persisted; only verdict bit-identity is
     // guaranteed across a crash.)
-    let mut drift = config
-        .adaptation
-        .as_ref()
-        .and_then(|p| DriftState::new(model.clone(), &p.drift));
-
+    let mut drift = adaptation.and_then(|p| DriftState::new(model.clone(), &p.drift));
     let snap_path = dir.join(SNAP_FILE);
     let mut seq = 0u64;
     let mut verdicts: Vec<Verdict> = Vec::new();
@@ -1323,15 +1335,11 @@ fn recover_home(
                 })?;
             seq = doc.seq;
             next_epoch = doc.next_epoch;
-            if let Some(v) = doc.verdicts {
-                verdicts = v;
+            if config.record_verdicts {
+                verdicts = doc.verdicts.unwrap_or_default();
             }
-            if let (Some(drift), Some(dr)) = (drift.as_mut(), doc.drift) {
-                drift
-                    .detector
-                    .restore_window(dr.samples, dr.since_check, dr.events_seen);
-                drift.window = dr.window;
-                drift.base_state = dr.base_state;
+            if let (Some(drift), Some(saved)) = (drift.as_mut(), doc.drift) {
+                drift.restore(saved);
             }
             snapshot_loaded = true;
         }
@@ -1340,19 +1348,21 @@ fn recover_home(
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
         Err(e) => return Err(e.into()),
     }
-    if !config.record_verdicts {
-        verdicts.clear();
-    }
+    snapshot.finish();
 
     // Replay the WAL tail: segments below the snapshot's epoch are
     // superseded (skipped), everything at or above it must be present,
     // consecutive, and verify record by record.
+    let replay_span = telemetry.span("hub.recover.replay");
     let segments = list_segments(dir)?;
     let skipped = segments.iter().take_while(|(e, _)| *e < next_epoch).count();
     let mut sealed_segments = skipped;
     let mut replayed_events = 0u64;
     let mut torn_tail = None;
     let mut expected = next_epoch;
+    // The last segment, when it ended unsealed: its epoch, path and
+    // verified event count, for the writer to resume.
+    let mut live = None;
     let replay_count = segments.len() - skipped;
     let mut out: Vec<Verdict> = Vec::new();
     for (idx, (epoch, path)) in segments[skipped..].iter().enumerate() {
@@ -1382,85 +1392,73 @@ fn recover_home(
                 });
             }
         }
-        if replay.events.is_empty() {
+        let events = &replay.events;
+        if replay.outcome != SegmentOutcome::Sealed {
+            live = Some((*epoch, path, events.len() as u64));
+        }
+        if events.is_empty() {
             continue;
         }
-        out.clear();
+        // Re-score through the verdict path, whatever the worker's mode:
+        // it is the one that rebuilds every tracked record in full
+        // (cause values included), so an alarm flushed after recovery
+        // matches an uninterrupted run's in any configuration.
         // Replay cannot panic: only events that scored cleanly pre-crash
         // were ever appended.
-        monitor.observe_batch_into(&replay.events, &mut out);
-        if let Some(drift) = drift.as_mut() {
-            let policy = config
-                .adaptation
-                .as_ref()
-                .expect("drift implies adaptation");
-            for (event, verdict) in replay.events.iter().zip(out.iter()) {
-                if let Some(report) = drift.detector.record(event.device, verdict.score) {
-                    // Mirror the live path's reset-on-trigger, minus the
-                    // refit enqueue: a refit that landed pre-crash is in
-                    // the model checkpoint already, one that didn't is
-                    // simply re-triggerable.
-                    if report.severity >= policy.min_severity {
-                        drift.detector.reset();
-                    }
-                    drift.reports.push(report);
+        out.clear();
+        monitor.observe_batch_into(events, &mut out);
+        if let Some((drift, policy)) = drift.as_mut().zip(adaptation) {
+            for (event, verdict) in events.iter().zip(&out) {
+                // Mirror the live path's reset-on-trigger, minus the
+                // refit enqueue: a refit that landed pre-crash is in the
+                // model checkpoint already, one that didn't is simply
+                // re-triggerable.
+                if drift
+                    .detector
+                    .record(event.device, verdict.score)
+                    .is_some_and(|report| report.severity >= policy.min_severity)
+                {
+                    drift.detector.reset();
                 }
             }
-            drift.push_batch(&replay.events, policy.refit_window);
+            drift.push_batch(events, policy.refit_window);
         }
-        seq += replay.events.len() as u64;
-        replayed_events += replay.events.len() as u64;
         if config.record_verdicts {
-            verdicts.extend(out.iter().cloned());
+            verdicts.append(&mut out);
         }
+        seq += events.len() as u64;
+        replayed_events += events.len() as u64;
     }
+    replay_span.finish();
 
-    // Publish a post-recovery snapshot so a second crash replays from
-    // here, then open a fresh segment above every epoch seen and prune
-    // the superseded ones.
-    let new_epoch = expected;
-    let drift_parts = drift.as_ref().map(|d| DriftParts {
-        since_check: d.detector.since_check(),
-        events_seen: d.detector.events_seen(),
-        samples: d.detector.window_samples().collect(),
-        window: &d.window,
-        base_state: &d.base_state,
-    });
-    let doc = render_snapshot(
-        seq,
-        new_epoch,
-        &monitor.export_runtime_state(),
-        config.record_verdicts.then_some(verdicts.as_slice()),
-        drift_parts.as_ref(),
-    );
-    write_snapshot(dir, &doc)?;
-    drop(drift_parts);
-    let durable = DurableHome::open_at(
+    // Appends continue where the log stopped: in the unsealed last
+    // segment, truncated to its last verified record, or in a fresh
+    // segment after a sealed (or missing) tail.
+    let resume = telemetry.span("hub.recover.resume");
+    let (epoch, writer) = match live {
+        Some((epoch, path, events)) => (epoch, SegmentWriter::reopen(path, events)?),
+        None => (
+            expected,
+            SegmentWriter::create(dir.join(segment_file_name(expected)))?,
+        ),
+    };
+    let durable = DurableHome::resume(
         dir.to_path_buf(),
-        new_epoch,
+        epoch,
+        writer,
+        replayed_events,
         durability.policy,
         durability.snapshot_every,
-    )?;
-    for (epoch, path) in segments {
-        if epoch < new_epoch {
-            let _ = fs::remove_file(path);
-        }
-    }
+    );
+    resume.finish();
 
-    let drift_resume = drift.as_ref().map(|d| DriftResume {
-        samples: d.detector.window_samples().collect(),
-        since_check: d.detector.since_check(),
-        events_seen: d.detector.events_seen(),
-        window: d.window.clone(),
-        base_state: d.base_state.clone(),
-    });
     Ok(RecoveredHome {
         model,
         monitor: Box::new(monitor),
         resume: Box::new(ResumeState {
             seq,
             verdicts,
-            drift: drift_resume,
+            drift,
             durable,
         }),
         record: HomeRecovery {
@@ -1487,6 +1485,12 @@ mod tests {
     }
 
     fn fitted_model_seeded(seed: u64) -> (DeviceRegistry, FittedModel) {
+        fitted_model_tracking(seed, 1)
+    }
+
+    /// The seeded two-device home, monitored with anomaly chains up to
+    /// `k_max` events long.
+    fn fitted_model_tracking(seed: u64, k_max: usize) -> (DeviceRegistry, FittedModel) {
         let mut reg = DeviceRegistry::new();
         let pe = reg
             .add("PE_room", Attribute::PresenceSensor, Room::new("room"))
@@ -1509,6 +1513,7 @@ mod tests {
         }
         let model = CausalIot::builder()
             .tau(2)
+            .k_max(k_max)
             .build()
             .fit_binary(&reg, &events)
             .unwrap();
@@ -1807,6 +1812,268 @@ mod tests {
         let reports = hub2.shutdown();
         assert_eq!(reports[0].name, "kitchen");
         assert_eq!(reports[0].verdicts, expected);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A durable config for the crash tests: a snapshot every 32 events,
+    /// so a few 10-event batches cross one.
+    fn crash_config(dir: &Path) -> HubConfig {
+        HubConfig::builder()
+            .workers(1)
+            .durability(DurabilityConfig {
+                snapshot_every: 32,
+                ..DurabilityConfig::at(dir)
+            })
+            .try_build()
+            .unwrap()
+    }
+
+    /// Serves `events` in 10-event batches (each its own run, so each
+    /// settles durability), then crashes: drained, dropped unshut. Returns
+    /// how many events the hub scored.
+    fn serve_then_crash(hub: Hub, home: HomeId, events: &[BinaryEvent]) -> u64 {
+        for chunk in events.chunks(10) {
+            assert!(hub.submit_batch(home, chunk).unwrap().is_complete());
+        }
+        hub.drain();
+        let scored = hub.stats().homes[home.index()].events_scored;
+        drop(hub);
+        scored
+    }
+
+    #[test]
+    fn second_crash_after_a_torn_tail_recovers_every_scored_event() {
+        let (reg, model) = fitted_model();
+        let lamp = reg.id_of("S_lamp").unwrap();
+        let pe = reg.id_of("PE_room").unwrap();
+        let events: Vec<BinaryEvent> = (0..120u64)
+            .map(|i| {
+                let dev = if i % 3 == 0 { pe } else { lamp };
+                BinaryEvent::new(Timestamp::from_secs(200_000 + i * 30), dev, i % 5 < 2)
+            })
+            .collect();
+        let mut reference = model.clone().into_monitor();
+        let expected: Vec<Verdict> = events.iter().map(|e| reference.observe(*e)).collect();
+        let dir =
+            std::env::temp_dir().join(format!("iot-serve-hub-double-crash-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let home_dir = dir.join("home-0");
+
+        // Serve past one snapshot (at 40 events), leaving 10 in the live
+        // segment, and crash with part of a record on its end.
+        let mut hub = Hub::new(crash_config(&dir));
+        let home = hub.register("kitchen", &model);
+        let scored = serve_then_crash(hub, home, &events[..50]);
+        assert_eq!(scored, 50);
+        let (_, live) = list_segments(&home_dir).unwrap().pop().unwrap();
+        let mut file = fs::OpenOptions::new().append(true).open(&live).unwrap();
+        io::Write::write_all(&mut file, &[14, 0, 0, 0, 0xab]).unwrap();
+        drop(file);
+        let snapshot = fs::read(home_dir.join(SNAP_FILE)).unwrap();
+
+        let (hub, report) = Hub::recover(crash_config(&dir)).unwrap();
+        let recovered = &report.homes[0];
+        assert!(recovered.torn_tail.is_some());
+        assert_eq!(recovered.durable_events, scored);
+        assert_eq!(recovered.replayed_events, 10);
+        assert_eq!(
+            fs::read(home_dir.join(SNAP_FILE)).unwrap(),
+            snapshot,
+            "recovery wrote no snapshot"
+        );
+
+        // Twenty more events stay under the cadence (10 replayed + 20 <
+        // 32), so they land in the reopened segment behind the replayed
+        // records — where the torn bytes were.
+        let scored = scored + serve_then_crash(hub, home, &events[50..70]);
+        let (hub, report) = match Hub::recover(crash_config(&dir)) {
+            Ok(ok) => ok,
+            Err(e) => panic!("second recovery failed: {e}"),
+        };
+        let recovered = &report.homes[0];
+        assert_eq!(recovered.durable_events, scored);
+        assert_eq!(recovered.replayed_events, 30);
+        assert_eq!(recovered.torn_tail, None);
+
+        assert!(hub.submit_batch(home, &events[70..]).unwrap().is_complete());
+        let reports = hub.shutdown();
+        assert_eq!(reports[0].verdicts, expected);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_without_a_verdict_log_restores_what_the_flight_recorder_shows() {
+        let (reg, model) = fitted_model_tracking(11, 3);
+        let lamp = reg.id_of("S_lamp").unwrap();
+        let pe = reg.id_of("PE_room").unwrap();
+        // Random readings, so the lamp often ignores presence: anomaly
+        // chains keep the tracking window `W` open across many event
+        // boundaries.
+        let mut rng = StdRng::seed_from_u64(5);
+        let events: Vec<BinaryEvent> = (0..100u64)
+            .map(|i| {
+                let dev = if rng.gen_bool(0.5) { pe } else { lamp };
+                BinaryEvent::new(
+                    Timestamp::from_secs(400_000 + i * 30),
+                    dev,
+                    rng.gen_bool(0.5),
+                )
+            })
+            .collect();
+        // The crash lands 30 events past the snapshot at 40, and an alarm
+        // raised after it reports some of those 30 — records the recovery
+        // rebuilt by replay — together with their cause values.
+        let crash = 70;
+        let mut reference = model.clone().into_monitor();
+        let verdicts: Vec<Verdict> = events.iter().map(|e| reference.observe(*e)).collect();
+        assert!(
+            verdicts[crash..]
+                .iter()
+                .flat_map(|v| &v.alarms)
+                .flat_map(|a| &a.events)
+                .any(|e| (40..crash as u64).contains(&e.ordinal) && !e.cause_values.is_empty()),
+            "no alarm after the crash reports a replayed record"
+        );
+        let root = std::env::temp_dir().join(format!(
+            "iot-serve-hub-recover-flight-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&root);
+        // Verdicts are not logged, but the flight recorder keeps them:
+        // the worker scores through the verdict path.
+        let config = |dir: &Path| {
+            HubConfig::builder()
+                .workers(1)
+                .record_verdicts(false)
+                .flight_recorder(events.len() - crash)
+                .durability(DurabilityConfig {
+                    snapshot_every: 32,
+                    ..DurabilityConfig::at(dir)
+                })
+                .try_build()
+                .unwrap()
+        };
+        let serve = |hub: &Hub, home: HomeId, events: &[BinaryEvent]| {
+            for chunk in events.chunks(10) {
+                assert!(hub.submit_batch(home, chunk).unwrap().is_complete());
+            }
+            hub.dump_home(home).unwrap().unwrap().entries
+        };
+
+        let mut hub = Hub::new(config(&root.join("uninterrupted")));
+        let home = hub.register("kitchen", &model);
+        let want = serve(&hub, home, &events);
+        hub.shutdown();
+
+        let mut hub = Hub::new(config(&root.join("crashed")));
+        let home = hub.register("kitchen", &model);
+        serve_then_crash(hub, home, &events[..crash]);
+        let (hub, report) = Hub::recover(config(&root.join("crashed"))).unwrap();
+        assert_eq!(report.homes[0].replayed_events, 30);
+        // The ring holds exactly the events served since recovery.
+        assert_eq!(serve(&hub, home, &events[crash..]), want);
+        hub.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn snapshots_carry_the_capped_drift_window_and_restore_its_refit_view() {
+        use crate::durable::{render_snapshot, DriftParts};
+        use causaliot_core::persist::append_crc_footer;
+        use causaliot_core::DriftConfig;
+
+        let (reg, model) = fitted_model();
+        let lamp = reg.id_of("S_lamp").unwrap();
+        let pe = reg.id_of("PE_room").unwrap();
+        let stream: Vec<BinaryEvent> = (0..87u64)
+            .map(|i| {
+                let dev = if i % 4 == 0 { pe } else { lamp };
+                BinaryEvent::new(Timestamp::from_secs(300_000 + i * 20), dev, i % 3 == 0)
+            })
+            .collect();
+        let cap = 20;
+        let drift_config = DriftConfig::default();
+        let seeded = || DriftState::new(model.clone(), &drift_config).unwrap();
+        let mut live = seeded();
+        for batch in stream[..35].chunks(7) {
+            live.push_batch(batch, cap);
+        }
+        assert!((cap + 1..2 * cap).contains(&live.window.len()));
+
+        let monitor_doc = model.clone().into_monitor().export_runtime_state();
+        let render = |parts: &DriftParts<'_>| {
+            let mut doc = render_snapshot(35, 1, &monitor_doc, None, Some(parts));
+            append_crc_footer(&mut doc);
+            doc
+        };
+        let capped = render(&live.snapshot_parts(cap));
+        let window_lines = capped.lines().filter(|l| l.starts_with("drift.w ")).count();
+        assert_eq!(window_lines, cap);
+        // Earlier builds persisted the whole physical buffer.
+        let whole = render(&DriftParts {
+            window: &live.window,
+            base_state: live.base_state.clone(),
+            ..live.snapshot_parts(cap)
+        });
+        let restored = |doc: &str| {
+            let mut state = seeded();
+            state.restore(parse_snapshot(doc).unwrap().drift.unwrap());
+            state
+        };
+        let mut states = [live, restored(&capped), restored(&whole)];
+        let mut rest = &stream[35..];
+        for len in [0, 9, 9, 25, 9] {
+            let (batch, tail) = rest.split_at(len);
+            rest = tail;
+            for state in &mut states {
+                state.push_batch(batch, cap);
+            }
+            let want = states[0].refit_snapshot(cap);
+            assert_eq!(want.1.len(), cap);
+            assert_eq!(states[1].refit_snapshot(cap), want, "capped, after {len}");
+            assert_eq!(states[2].refit_snapshot(cap), want, "whole, after {len}");
+        }
+        assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn recovery_phases_are_spans_once_per_home() {
+        use iot_telemetry::MemorySink;
+
+        let (reg, model) = fitted_model();
+        let lamp = reg.id_of("S_lamp").unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "iot-serve-hub-recover-spans-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let mut hub = Hub::new(crash_config(&dir));
+        let homes: Vec<HomeId> = ["a", "b", "c"]
+            .iter()
+            .map(|name| hub.register(name, &model))
+            .collect();
+        let events: Vec<BinaryEvent> = (0..45u64)
+            .map(|i| BinaryEvent::new(Timestamp::from_secs(100_000 + i * 60), lamp, i % 2 == 0))
+            .collect();
+        serve_then_crash(hub, homes[1], &events);
+
+        let telemetry = TelemetryHandle::new(Box::new(MemorySink::new()));
+        let (hub, report) = Hub::recover_with_telemetry(crash_config(&dir), &telemetry).unwrap();
+        assert_eq!(report.homes.len(), 3);
+        drop(hub);
+        let summary = telemetry.sink_summary().unwrap();
+        for name in [
+            "hub.recover.load",
+            "hub.recover.snapshot",
+            "hub.recover.replay",
+            "hub.recover.resume",
+        ] {
+            let count = summary.lines().find_map(|line| {
+                let mut fields = line.split_whitespace();
+                (fields.next() == Some(name)).then(|| fields.next()?.parse::<u64>().ok())?
+            });
+            assert_eq!(count, Some(3), "{name} in:\n{summary}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -55,7 +55,7 @@ use iot_model::{BinaryEvent, DeviceId, SystemState, Timestamp};
 use iot_telemetry::{Counter, FlightRecorder, Gauge, Histogram, MonitorReport, TelemetryHandle};
 
 use crate::config::{AdaptationPolicy, RestorePolicy};
-use crate::durable::{render_snapshot, DriftParts, DurableHome, ResumeState};
+use crate::durable::{render_snapshot, DriftParts, DriftResume, DurableHome, ResumeState};
 use crate::fault::{panic_message, FaultHook, HomeHealth};
 use crate::hub::HomeId;
 use crate::refit::RefitRequest;
@@ -239,8 +239,9 @@ pub(crate) struct DriftState {
     /// `refit_window`, physically allowed up to twice that: batches are
     /// appended with one `extend_from_slice` and the excess is folded
     /// into `base_state` in amortised compactions, so the serving hot
-    /// path never pays a per-event ring rotation. Use
-    /// [`DriftState::refit_snapshot`] for the exactly-capped view.
+    /// path never pays a per-event ring rotation. Refits and snapshots
+    /// take the exactly-capped view ([`DriftState::refit_snapshot`],
+    /// [`DriftState::snapshot_parts`]).
     pub(crate) window: Vec<BinaryEvent>,
     /// The system state immediately before `window[0]` — the refit's
     /// initial state, advanced as old events are evicted.
@@ -308,17 +309,46 @@ impl DriftState {
         }
     }
 
-    /// The exactly-capped refit inputs: the initial system state and the
-    /// most recent (at most) `cap` events. Folds any amortisation slack
-    /// into a cloned base state; the live buffer is untouched.
-    fn refit_snapshot(&self, cap: usize) -> (SystemState, Vec<BinaryEvent>) {
+    /// The window's exactly-capped view: the system state before it and
+    /// the most recent (at most) `cap` events. Folds any amortisation
+    /// slack into a cloned base state; the live buffer is untouched.
+    fn capped(&self, cap: usize) -> (SystemState, &[BinaryEvent]) {
         let cap = cap.max(1);
         let excess = self.window.len().saturating_sub(cap);
         let mut initial = self.base_state.clone();
         for &evicted in &self.window[..excess] {
             Self::fold(&mut initial, evicted);
         }
-        (initial, self.window[excess..].to_vec())
+        (initial, &self.window[excess..])
+    }
+
+    /// The refit inputs: the [capped](Self::capped) view, owned.
+    pub(crate) fn refit_snapshot(&self, cap: usize) -> (SystemState, Vec<BinaryEvent>) {
+        let (initial, events) = self.capped(cap);
+        (initial, events.to_vec())
+    }
+
+    /// What a live-state snapshot persists: the detector's window and the
+    /// [capped](Self::capped) event window, which restores to the same
+    /// refit inputs as the whole buffer would.
+    pub(crate) fn snapshot_parts(&self, cap: usize) -> DriftParts<'_> {
+        let (base_state, window) = self.capped(cap);
+        DriftParts {
+            since_check: self.detector.since_check(),
+            events_seen: self.detector.events_seen(),
+            samples: self.detector.window_samples().collect(),
+            window,
+            base_state,
+        }
+    }
+
+    /// Restores the runtime state a snapshot carried into drift state
+    /// freshly seeded from the same model.
+    pub(crate) fn restore(&mut self, saved: DriftResume) {
+        self.detector
+            .restore_window(saved.samples, saved.since_check, saved.events_seen);
+        self.window = saved.window;
+        self.base_state = saved.base_state;
     }
 }
 
@@ -381,6 +411,14 @@ pub(crate) struct WorkerContext {
     pub(crate) telemetry: TelemetryHandle,
 }
 
+impl WorkerContext {
+    /// The drift window's cap (`0` without adaptation, when no home has
+    /// drift state to cap).
+    fn refit_window(&self) -> usize {
+        self.adaptation.as_ref().map_or(0, |p| p.refit_window)
+    }
+}
+
 /// One shard's complete state, shared between its (current) worker
 /// thread, the supervisor, and the hub's shutdown path.
 pub(crate) struct ShardCore {
@@ -409,32 +447,26 @@ impl ShardCore {
                 model,
                 resume,
             } => {
-                let mut drift = self
-                    .context
-                    .adaptation
-                    .as_ref()
-                    .and_then(|policy| DriftState::new(model, &policy.drift));
-                let (seq, verdicts, durable) = match resume {
-                    None => (0, Vec::new(), None),
+                let (seq, verdicts, drift, durable) = match resume {
+                    None => (0, Vec::new(), None, None),
                     Some(resume) => {
                         let ResumeState {
                             seq,
                             verdicts,
-                            drift: drift_resume,
+                            drift,
                             durable,
                         } = *resume;
-                        if let (Some(drift), Some(dr)) = (drift.as_mut(), drift_resume) {
-                            drift.detector.restore_window(
-                                dr.samples,
-                                dr.since_check,
-                                dr.events_seen,
-                            );
-                            drift.window = dr.window;
-                            drift.base_state = dr.base_state;
-                        }
-                        (seq, verdicts, Some(durable))
+                        (seq, verdicts, drift, Some(durable))
                     }
                 };
+                // A recovered home brings its drift state along; any
+                // other home seeds it from the model.
+                let drift = drift.or_else(|| {
+                    self.context
+                        .adaptation
+                        .as_ref()
+                        .and_then(|policy| DriftState::new(model, &policy.drift))
+                });
                 lock(&self.homes).insert(
                     home,
                     HomeSlot {
@@ -776,12 +808,7 @@ impl ShardCore {
                 .events_scored
                 .fetch_add(scored as u64, Ordering::Relaxed);
             if let Some(drift) = slot.drift.as_mut() {
-                let cap = self
-                    .context
-                    .adaptation
-                    .as_ref()
-                    .map_or(0, |p| p.refit_window);
-                drift.push_batch(&events[..scored], cap);
+                drift.push_batch(&events[..scored], self.context.refit_window());
             }
         }
         self.note_drift(home, slot, drift_pending);
@@ -894,13 +921,9 @@ impl ShardCore {
             return;
         };
         let monitor_doc = monitor.export_runtime_state();
-        let drift_parts = drift.as_ref().map(|d| DriftParts {
-            since_check: d.detector.since_check(),
-            events_seen: d.detector.events_seen(),
-            samples: d.detector.window_samples().collect(),
-            window: &d.window,
-            base_state: &d.base_state,
-        });
+        let drift_parts = drift
+            .as_ref()
+            .map(|d| d.snapshot_parts(self.context.refit_window()));
         let doc = render_snapshot(
             *seq,
             dur.next_epoch(),

@@ -4,7 +4,9 @@
 //! A home's WAL lives next to its model checkpoint and runtime-state
 //! snapshot in `home-<id>/` under the hub's durability root, as a series
 //! of segments `wal-0000000000.log`, `wal-0000000001.log`, … — one per
-//! snapshot epoch. Each record is framed
+//! snapshot epoch. Recovery reopens the unsealed segment a crash left
+//! behind and appends to it, so an epoch can span a restart. Each record
+//! is framed
 //!
 //! ```text
 //! [u32 payload length, LE][u32 CRC-32 of payload, LE][payload]
@@ -109,6 +111,25 @@ impl SegmentWriter {
             file,
             path,
             records: 0,
+            buf: Vec::new(),
+        })
+    }
+
+    /// Reopens the unsealed segment at `path` for append after a crash.
+    /// Replay trusted its first `events` records, so the file is truncated
+    /// to their end — a torn tail beyond it would otherwise sit between
+    /// them and the next append — and fsynced, which makes the replayed
+    /// records machine-durable before anything is scored on top of them.
+    pub(crate) fn reopen(path: impl Into<PathBuf>, events: u64) -> io::Result<SegmentWriter> {
+        let path = path.into();
+        let file = OpenOptions::new().append(true).open(&path)?;
+        // Before a seal every record is an event record.
+        file.set_len(events * (FRAME + EVENT_PAYLOAD) as u64)?;
+        file.sync_all()?;
+        Ok(SegmentWriter {
+            file,
+            path,
+            records: events,
             buf: Vec::new(),
         })
     }
@@ -461,6 +482,33 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopen_drops_a_torn_tail_and_appends_after_the_verified_records() {
+        let dir = scratch("reopen");
+        let events: Vec<BinaryEvent> = (0..7).map(event).collect();
+        let path = dir.join(segment_file_name(0));
+        let mut writer = SegmentWriter::create(&path).unwrap();
+        writer.append_events(&events[..4]).unwrap();
+        drop(writer);
+        // A crash mid-append: half of the next record reached the file.
+        let mut torn = Vec::new();
+        encode_record(&event_payload(events[4]), &mut torn);
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&torn[..torn.len() / 2]).unwrap();
+        drop(file);
+        let replay = replay_segment(&path).unwrap();
+        assert_eq!(replay.events, events[..4]);
+        assert!(matches!(replay.outcome, SegmentOutcome::TornTail { .. }));
+
+        let mut writer = SegmentWriter::reopen(&path, replay.events.len() as u64).unwrap();
+        writer.append_events(&events[4..]).unwrap();
+        writer.seal().unwrap();
+        let replay = replay_segment(&path).unwrap();
+        assert_eq!(replay.outcome, SegmentOutcome::Sealed);
+        assert_eq!(replay.events, events);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
