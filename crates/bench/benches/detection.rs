@@ -1,6 +1,8 @@
 //! Criterion benches for the Event Monitor: per-event validation cost
 //! (expected O(1), Section V-D) and end-to-end stream throughput.
 
+use std::sync::Arc;
+
 use causaliot::miner::{mine_dig, MinerConfig};
 use causaliot::monitor::{DetectorConfig, KSequenceDetector};
 use causaliot::snapshot::SnapshotData;
@@ -9,7 +11,7 @@ use iot_model::{BinaryEvent, DeviceId, StateSeries, SystemState, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn make_dig(n: usize) -> (causaliot::graph::Dig, Vec<BinaryEvent>) {
+fn make_dig(n: usize) -> (Arc<causaliot::graph::Dig>, Vec<BinaryEvent>) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut events = Vec::new();
     let mut prev = false;
@@ -34,7 +36,7 @@ fn make_dig(n: usize) -> (causaliot::graph::Dig, Vec<BinaryEvent>) {
     }
     let series = StateSeries::derive(SystemState::all_off(n), events.clone());
     let data = SnapshotData::from_series(&series, 2);
-    (mine_dig(&data, &MinerConfig::default()), events)
+    (Arc::new(mine_dig(&data, &MinerConfig::default())), events)
 }
 
 fn bench_observe_by_devices(c: &mut Criterion) {
@@ -45,7 +47,7 @@ fn bench_observe_by_devices(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let mut detector = KSequenceDetector::new(
-                    &dig,
+                    Arc::clone(&dig),
                     SystemState::all_off(n),
                     DetectorConfig::new(0.99, 1),
                 );
@@ -66,7 +68,7 @@ fn bench_collective_tracking(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(k_max), &k_max, |b, &k_max| {
             b.iter(|| {
                 let mut detector = KSequenceDetector::new(
-                    &dig,
+                    Arc::clone(&dig),
                     SystemState::all_off(16),
                     DetectorConfig::new(0.9, k_max),
                 );

@@ -98,7 +98,7 @@ fn main() {
         "fit_report_contextact.json",
         &ds.model.fit_report().to_json(),
     );
-    let mut monitor = ds.model.monitor_with(1, ds.test_initial.clone());
+    let mut monitor = ds.model.into_monitor_with(1, ds.test_initial);
     for &event in &ds.test_events {
         monitor.observe(event);
     }

@@ -16,7 +16,7 @@ pub fn contextual_alarm_positions(
     initial: &SystemState,
     events: &[BinaryEvent],
 ) -> HashSet<usize> {
-    let mut monitor = model.monitor_with(1, initial.clone());
+    let mut monitor = model.clone().into_monitor_with(1, initial.clone());
     let mut alarms = HashSet::new();
     for event in events {
         let verdict = monitor.observe(*event);
@@ -50,7 +50,7 @@ pub fn evaluate_chains(
     chains: &[InjectedChain],
     k_max: usize,
 ) -> Vec<ChainOutcome> {
-    let mut monitor = model.monitor_with(k_max, initial.clone());
+    let mut monitor = model.clone().into_monitor_with(k_max, initial.clone());
     let mut alarm_sets: Vec<HashSet<usize>> = Vec::new();
     for event in events {
         let verdict = monitor.observe(*event);
@@ -96,7 +96,7 @@ impl Detector for CausalIotPoint<'_> {
     }
 
     fn detect(&self, initial: &SystemState, events: &[BinaryEvent]) -> Vec<bool> {
-        let mut monitor = self.model.monitor_with(1, initial.clone());
+        let mut monitor = self.model.clone().into_monitor_with(1, initial.clone());
         events
             .iter()
             .map(|e| monitor.observe(*e).exceeds_threshold)

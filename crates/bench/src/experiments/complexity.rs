@@ -7,6 +7,7 @@
 //!   both the device count and the stream length (`O(1)` — a table lookup
 //!   plus a comparison).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use causaliot::miner::{mine_dig, MinerConfig, TemporalPc};
@@ -112,9 +113,12 @@ pub fn monitor_scaling(device_counts: &[usize]) -> Vec<MonitorPoint> {
         .map(|&n| {
             let series = chain_trace(n, 300, 43);
             let data = SnapshotData::from_series(&series, 2);
-            let dig = mine_dig(&data, &MinerConfig::default());
-            let mut detector =
-                KSequenceDetector::new(&dig, SystemState::all_off(n), DetectorConfig::new(0.99, 1));
+            let dig = Arc::new(mine_dig(&data, &MinerConfig::default()));
+            let mut detector = KSequenceDetector::new(
+                Arc::clone(&dig),
+                SystemState::all_off(n),
+                DetectorConfig::new(0.99, 1),
+            );
             // Re-drive the training events through the monitor.
             let events: Vec<BinaryEvent> = series.events().to_vec();
             let start = Instant::now();
@@ -125,7 +129,7 @@ pub fn monitor_scaling(device_counts: &[usize]) -> Vec<MonitorPoint> {
             // Batched fast path: a fresh detector from the same initial
             // state, fed the same stream in hub-burst-sized chunks.
             let mut batched =
-                KSequenceDetector::new(&dig, SystemState::all_off(n), DetectorConfig::new(0.99, 1));
+                KSequenceDetector::new(dig, SystemState::all_off(n), DetectorConfig::new(0.99, 1));
             let mut verdicts = Vec::with_capacity(MONITOR_BATCH);
             let start_batched = Instant::now();
             for chunk in events.chunks(MONITOR_BATCH) {

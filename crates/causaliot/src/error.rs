@@ -38,7 +38,7 @@ pub enum Error {
     /// checkpoint, data-model error).
     Pipeline(CausalIotError),
     /// Preprocessing dropped a raw event
-    /// ([`causaliot_core::Monitor::observe_raw`]).
+    /// ([`causaliot_core::OwnedMonitor::observe_with`]).
     Dropped(DropReason),
     /// A hub submission was rejected (full queue, unknown home, deadline,
     /// shutdown). A [`SubmitError::Quarantined`] rejection is normalised

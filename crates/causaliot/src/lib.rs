@@ -8,9 +8,9 @@
 //! * **Fit** ([`CausalIot`], from `causaliot-core`) — preprocess a raw
 //!   event log, mine the Device Interaction Graph with TemporalPC, and
 //!   calibrate an anomaly threshold into a [`FittedModel`].
-//! * **Monitor** ([`Monitor`] / [`OwnedMonitor`]) — score runtime events
-//!   (`1 − P(state | causes)`) with k-sequence contextual/collective
-//!   anomaly detection.
+//! * **Monitor** ([`OwnedMonitor`], from [`FittedModel::into_monitor`]) —
+//!   score runtime events (`1 − P(state | causes)`) with k-sequence
+//!   contextual/collective anomaly detection.
 //! * **Serve** ([`serve`], re-exporting `iot-serve`) — a sharded,
 //!   supervised, fault-tolerant hub running one monitor per smart home
 //!   with panic isolation, quarantine + checkpoint restore, and

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! Pulls in the types virtually every program needs: the fit facade
-//! ([`CausalIot`] → [`FittedModel`]), the monitors and their output
-//! ([`Monitor`], [`OwnedMonitor`], [`Verdict`]), the ingestion guard
-//! ([`IngestPolicy`], [`GuardedMonitor`], [`DeadLetterCounts`], …), the
+//! ([`CausalIot`] → [`FittedModel`]), the monitor, its input and its
+//! output ([`OwnedMonitor`], [`Observation`], [`ObserveCtx`],
+//! [`Verdict`]), the ingestion guard ([`IngestPolicy`],
+//! [`GuardedMonitor`], [`DeadLetterCounts`], …), the
 //! data model ([`DeviceRegistry`], [`BinaryEvent`], [`Timestamp`], …),
 //! the serving hub ([`Hub`], [`HubConfig`], [`HomeId`],
 //! [`SubmitPolicy`], …), the model lifecycle ([`ModelUpdate`],
@@ -24,8 +25,8 @@ pub use crate::error::Error;
 pub use causaliot_core::{
     CausalIot, CausalIotBuilder, CausalIotConfig, CausalIotError, ConfigError, DeadLetter,
     DeadLetterCounts, DriftConfig, DriftDetector, DriftReport, DriftSeverity, DriftSignal,
-    DropReason, FittedModel, GuardedMonitor, IngestGuard, IngestPolicy, Monitor, Observation,
-    ObserveCtx, OwnedMonitor, Refit, StaleSet, TauChoice, Verdict,
+    DropReason, FittedModel, GuardedMonitor, IngestGuard, IngestPolicy, Observation, ObserveCtx,
+    OwnedMonitor, Refit, StaleSet, TauChoice, Verdict,
 };
 pub use iot_fleet::{FitJob, FleetError, ModelHash, ModelStore, SweepConfig, SweepReport};
 pub use iot_model::{

@@ -5,8 +5,9 @@
 //! Real smart-home feeds are not: gateways deliver events out of order,
 //! devices report NaN readings, clocks jump backwards, a stuck firmware
 //! re-reports the same state in a tight loop, and sensors silently die.
-//! [`IngestGuard`] sits in front of [`crate::pipeline::Monitor::observe_raw`]
-//! (and, via `iot-serve`, in front of every home's monitor on the shard)
+//! [`IngestGuard`] sits in front of a monitor's raw observations
+//! ([`crate::pipeline::OwnedMonitor::observe_with`]; and, via `iot-serve`,
+//! in front of every home's monitor on the shard)
 //! and repairs what can be repaired while recording what cannot:
 //!
 //! * **Ordering repair** — a bounded reordering buffer holds events for up
@@ -39,7 +40,7 @@ use iot_telemetry::{Counter, Gauge, TelemetryHandle};
 
 use crate::error::ConfigError;
 use crate::monitor::Verdict;
-use crate::pipeline::{DropReason, FittedModel, OwnedMonitor};
+use crate::pipeline::{DropReason, FittedModel, Observation, ObserveCtx, OwnedMonitor};
 
 /// Configuration of the ingestion guard.
 ///
@@ -112,8 +113,8 @@ impl IngestPolicy {
 
 /// An event the ingestion guard can validate, buffer, and reorder.
 ///
-/// Implemented for raw [`DeviceEvent`]s (the `observe_raw` path) and for
-/// preprocessed [`BinaryEvent`]s (the `iot-serve` hub path).
+/// Implemented for raw [`DeviceEvent`]s (the [`GuardedMonitor`] path) and
+/// for preprocessed [`BinaryEvent`]s (the `iot-serve` hub path).
 pub trait IngestEvent: Copy {
     /// The event's timestamp.
     fn time(&self) -> Timestamp;
@@ -217,9 +218,10 @@ impl DeadLetterCounts {
 
 /// The set of devices currently flagged stale by the liveness clock.
 ///
-/// Passed to the monitors' `observe_degraded` entry points, which discount
-/// verdict [`confidence`](crate::Verdict::confidence) for CPT entries
-/// conditioned on stale parents. An empty set makes degraded mode a no-op.
+/// Carried by an [`ObserveCtx`] into the monitor's `observe_with` and
+/// `observe_batch_into`, which discount verdict
+/// [`confidence`](crate::Verdict::confidence) for CPT entries conditioned
+/// on stale parents. An empty set makes degraded mode a no-op.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StaleSet {
     flags: Vec<bool>,
@@ -534,7 +536,8 @@ impl GuardedMonitor {
     /// Feeds one raw event through the guard and scores whatever it
     /// releases, in order. Each released event yields `Ok(Verdict)` or
     /// `Err` with the preprocessing [`DropReason`] (duplicate / extreme),
-    /// exactly as [`OwnedMonitor::observe_raw`] would.
+    /// exactly as [`OwnedMonitor::observe_with`] would for an
+    /// [`Observation::Raw`] under the guard's current [`StaleSet`].
     pub fn offer(&mut self, event: DeviceEvent) -> Vec<Result<Verdict, DropReason>> {
         let step = self.guard.offer(event);
         if let Some(dead) = step.dead {
@@ -555,9 +558,10 @@ impl GuardedMonitor {
             return Vec::new();
         }
         let stale = self.guard.stale_set();
+        let ctx = ObserveCtx::with_stale(&stale);
         ready
-            .into_iter()
-            .map(|event| self.monitor.observe_raw_degraded(&event, &stale))
+            .iter()
+            .map(|event| self.monitor.observe_with(Observation::Raw(event), &ctx))
             .collect()
     }
 

@@ -48,7 +48,7 @@
 //! }
 //!
 //! let model = CausalIot::builder().tau(2).build().fit_binary(&reg, &events)?;
-//! let mut monitor = model.monitor();
+//! let mut monitor = model.into_monitor();
 //!
 //! // A lamp activation with no preceding motion violates the interaction.
 //! monitor.observe(BinaryEvent::new(Timestamp::from_secs(99_000), motion, false));
@@ -84,6 +84,6 @@ pub use monitor::{
 };
 pub use pipeline::{
     CalibratedModel, CausalIot, CausalIotBuilder, CausalIotConfig, DropReason, FitPipeline,
-    FitStage, FittedModel, MinedGraph, Monitor, Observation, ObserveCtx, OwnedMonitor,
-    Preprocessed, RawEvents, Refit, Snapshotted, TauChoice,
+    FitStage, FittedModel, MinedGraph, Observation, ObserveCtx, OwnedMonitor, Preprocessed,
+    RawEvents, Refit, Snapshotted, TauChoice,
 };

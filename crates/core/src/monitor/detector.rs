@@ -23,7 +23,7 @@
 //! [`DetectorConfig::restart_on_abrupt`] as a documented extension that
 //! instead treats the abrupt event as a new contextual anomaly.
 
-use std::ops::Deref;
+use std::sync::Arc;
 use std::time::Instant;
 
 use iot_model::{BinaryEvent, DeviceId, SystemState};
@@ -266,18 +266,14 @@ impl DenseScores {
     }
 }
 
-/// The k-sequence anomaly detector (Algorithm 2).
+/// The k-sequence anomaly detector (Algorithm 2), the scoring core of
+/// [`crate::pipeline::OwnedMonitor`].
 ///
-/// Generic over *how the mined DIG is held*: `D` is any handle that
-/// dereferences to a [`Dig`]. The two instantiations used by the pipeline
-/// are `&Dig` (the classic borrowing detector behind
-/// [`crate::pipeline::Monitor`]) and `std::sync::Arc<Dig>` (the owned,
-/// `Send + 'static` detector behind [`crate::pipeline::OwnedMonitor`]).
-/// Both run the exact same code, so verdicts are bit-identical by
-/// construction.
+/// The mined DIG is shared through an [`Arc`], so a detector is `Send +
+/// 'static` and any number of detectors score against one model.
 #[derive(Debug, Clone)]
-pub struct KSequenceDetector<D: Deref<Target = Dig>> {
-    dig: D,
+pub struct KSequenceDetector {
+    dig: Arc<Dig>,
     config: DetectorConfig,
     dense: DenseScores,
     pm: PhantomStateMachine,
@@ -287,9 +283,14 @@ pub struct KSequenceDetector<D: Deref<Target = Dig>> {
     instruments: DetectorInstruments,
 }
 
-impl<D: Deref<Target = Dig>> KSequenceDetector<D> {
+// The scoring entry points and the step they run are `#[inline]` so that
+// callers in other crates (the complexity experiment, the criterion
+// benches) can inline them: a non-generic method's body is otherwise not
+// available outside this crate, and the out-of-line call cost about 2 ns
+// per event on the sequential path (exp_complexity minima, 2-vCPU VM).
+impl KSequenceDetector {
     /// Creates a detector over a mined DIG, starting from `initial`.
-    pub fn new(dig: D, initial: SystemState, config: DetectorConfig) -> Self {
+    pub fn new(dig: Arc<Dig>, initial: SystemState, config: DetectorConfig) -> Self {
         assert!(config.k_max >= 1, "k_max must be at least 1");
         let tau = dig.tau();
         let dense = DenseScores::build(&dig, config.unseen);
@@ -333,6 +334,7 @@ impl<D: Deref<Target = Dig>> KSequenceDetector<D> {
     }
 
     /// Processes one runtime event and returns the verdict.
+    #[inline]
     pub fn observe(&mut self, event: BinaryEvent) -> Verdict {
         self.observe_inner(event, 1.0)
     }
@@ -343,6 +345,7 @@ impl<D: Deref<Target = Dig>> KSequenceDetector<D> {
     /// [`confidence`](Verdict::confidence) is the fraction of the event
     /// device's CPT causes whose parent device is not in `stale`. With an
     /// empty stale set this is exactly [`observe`](Self::observe).
+    #[inline]
     pub fn observe_degraded(&mut self, event: BinaryEvent, stale: &StaleSet) -> Verdict {
         let confidence = self.cause_confidence(event.device, stale);
         self.observe_inner(event, confidence)
@@ -362,48 +365,32 @@ impl<D: Deref<Target = Dig>> KSequenceDetector<D> {
     /// mid-batch, `out` holds exactly the verdicts of the events *before*
     /// the panicking one — the guarantee the serving layer's
     /// quarantine-at-the-exact-event machinery relies on.
+    #[inline]
     pub fn observe_batch_into(
         &mut self,
         events: &[BinaryEvent],
         stale: Option<&StaleSet>,
         out: &mut Vec<Verdict>,
     ) {
-        let started = if self.instruments.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let stats_before = self.stats;
+        let started = self.start_instruments();
         let base = out.len();
         out.reserve(events.len());
         for &event in events {
-            let confidence = match stale {
-                Some(stale) => self.cause_confidence(event.device, stale),
-                None => 1.0,
-            };
+            let confidence = stale.map_or(1.0, |stale| self.cause_confidence(event.device, stale));
             let verdict = self.step_event(event, confidence);
             out.push(verdict);
         }
-        if let Some(start) = started {
-            self.instruments.events.add((out.len() - base) as u64);
+        if let Some(started) = started {
             for verdict in &out[base..] {
                 self.instruments.scores.observe(verdict.score);
             }
-            self.instruments.tracking_len.set(self.w.len() as u64);
-            self.instruments
-                .contextual
-                .add(self.stats.contextual_alarms - stats_before.contextual_alarms);
-            self.instruments
-                .collective
-                .add(self.stats.collective_alarms - stats_before.collective_alarms);
-            self.instruments
-                .latency_us
-                .observe(start.elapsed().as_secs_f64() * 1e6);
+            self.flush_instruments(started, out.len() - base);
         }
     }
 
     /// The fraction of `device`'s CPT causes whose parent device is live
     /// (not in `stale`); `1.0` for devices with no causes.
+    #[inline]
     fn cause_confidence(&self, device: DeviceId, stale: &StaleSet) -> f64 {
         let causes = self.dense.causes_of(device.index());
         if causes.is_empty() || stale.count() == 0 {
@@ -416,28 +403,41 @@ impl<D: Deref<Target = Dig>> KSequenceDetector<D> {
         live as f64 / causes.len() as f64
     }
 
+    #[inline]
     fn observe_inner(&mut self, event: BinaryEvent, confidence: f64) -> Verdict {
-        let started = if self.instruments.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let started = self.start_instruments();
         let verdict = self.step_event(event, confidence);
-        if let Some(start) = started {
-            self.instruments.events.inc();
+        if let Some(started) = started {
             self.instruments.scores.observe(verdict.score);
-            self.instruments.tracking_len.set(self.w.len() as u64);
-            for alarm in &verdict.alarms {
-                match alarm.kind {
-                    AlarmKind::Contextual => self.instruments.contextual.inc(),
-                    AlarmKind::Collective => self.instruments.collective.inc(),
-                }
-            }
-            self.instruments
-                .latency_us
-                .observe(start.elapsed().as_secs_f64() * 1e6);
+            self.flush_instruments(started, 1);
         }
         verdict
+    }
+
+    /// The start mark of an instrumented call — its clock and the stats
+    /// it began from — or `None` when the instruments are disabled.
+    #[inline]
+    fn start_instruments(&self) -> Option<(Instant, DetectorStats)> {
+        self.instruments
+            .enabled
+            .then(|| (Instant::now(), self.stats))
+    }
+
+    /// Flushes the instruments for `events` scored since `started`: the
+    /// event count, the alarm counts by kind, the final tracking length,
+    /// and one latency sample. The callers record the score samples.
+    fn flush_instruments(&mut self, (start, before): (Instant, DetectorStats), events: usize) {
+        self.instruments.events.add(events as u64);
+        self.instruments.tracking_len.set(self.w.len() as u64);
+        self.instruments
+            .contextual
+            .add(self.stats.contextual_alarms - before.contextual_alarms);
+        self.instruments
+            .collective
+            .add(self.stats.collective_alarms - before.collective_alarms);
+        self.instruments
+            .latency_us
+            .observe(start.elapsed().as_secs_f64() * 1e6);
     }
 
     /// Line 4-5 of Algorithm 2: resolve the event device's cause values
@@ -475,6 +475,7 @@ impl<D: Deref<Target = Dig>> KSequenceDetector<D> {
     /// and the always-on stats — without the optional telemetry
     /// instruments (the sequential and batched entry points layer those
     /// differently on top).
+    #[inline]
     fn step_event(&mut self, event: BinaryEvent, confidence: f64) -> Verdict {
         let (_code, score) = self.score_of(&event);
 
@@ -558,6 +559,7 @@ impl<D: Deref<Target = Dig>> KSequenceDetector<D> {
     }
 
     /// Flushes `W` into an alarm.
+    #[inline]
     fn flush(&mut self, ended_by_abrupt: bool) -> Alarm {
         let events = std::mem::take(&mut self.w);
         let kind = if events.len() <= 1 {
@@ -589,48 +591,16 @@ impl<D: Deref<Target = Dig>> KSequenceDetector<D> {
     /// the same boundary guarantee `observe_batch_into` provides through
     /// `out.len()`, which quarantine-at-the-exact-event relies on.
     ///
-    /// Internal subtlety: tracked events accumulated in this mode carry
-    /// empty `cause_values` (interpretation context is only needed when an
-    /// alarm can be shown to someone). Mixed-mode use is still coherent —
-    /// `W` is the same real buffer — but alarms flushed from such records
-    /// explain less; the serving layer only enters this path when those
-    /// alarms are unobservable by construction.
+    /// Tracked events accumulated in this mode carry empty `cause_values`
+    /// (interpretation context is only needed when an alarm can be shown
+    /// to someone), whether or not telemetry is attached. Mixed-mode use
+    /// is still coherent — `W` is the same real buffer — but alarms
+    /// flushed from such records explain less; the serving layer only
+    /// enters this path when those alarms are unobservable by
+    /// construction.
+    #[inline]
     pub fn observe_batch_stats_only(&mut self, events: &[BinaryEvent], scored: &mut usize) {
-        let started = if self.instruments.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let stats_before = self.stats;
-        if self.instruments.enabled {
-            // The score histogram needs every sample, so run the full
-            // step and discard each verdict as it completes. Alarm/record
-            // allocations survive here; instrumented hubs trade that for
-            // observability.
-            for &event in events {
-                let verdict = self.step_event(event, 1.0);
-                self.instruments.scores.observe(verdict.score);
-                *scored += 1;
-            }
-        } else {
-            for &event in events {
-                self.step_event_stats_only(event);
-                *scored += 1;
-            }
-        }
-        if let Some(start) = started {
-            self.instruments.events.add(events.len() as u64);
-            self.instruments.tracking_len.set(self.w.len() as u64);
-            self.instruments
-                .contextual
-                .add(self.stats.contextual_alarms - stats_before.contextual_alarms);
-            self.instruments
-                .collective
-                .add(self.stats.collective_alarms - stats_before.collective_alarms);
-            self.instruments
-                .latency_us
-                .observe(start.elapsed().as_secs_f64() * 1e6);
-        }
+        self.verdict_free_batch(events, scored, |_, _| {});
     }
 
     /// [`observe_batch_stats_only`](Self::observe_batch_stats_only) that
@@ -639,51 +609,45 @@ impl<D: Deref<Target = Dig>> KSequenceDetector<D> {
     /// ([`crate::monitor::DriftDetector`]) rides. Every observable side
     /// effect (phantom state, tracking, [`DetectorStats`], telemetry
     /// flush) stays bit-identical to the stats-only path; the score is a
-    /// value `step_event_stats_only`
-    /// already computes, so the extra cost is one indirect call per
-    /// event and nothing else.
+    /// value `step_event_stats_only` already computes, so the extra cost
+    /// is one indirect call per event and nothing else.
     ///
     /// `scored` is incremented once per *completed* event (after
     /// `on_score` returns), preserving the exact panic-boundary
     /// guarantee of the other batched entry points.
+    #[inline]
     pub fn observe_batch_scores_only(
         &mut self,
         events: &[BinaryEvent],
         scored: &mut usize,
         on_score: &mut dyn FnMut(BinaryEvent, f64),
     ) {
-        let started = if self.instruments.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let stats_before = self.stats;
-        if self.instruments.enabled {
-            for &event in events {
-                let verdict = self.step_event(event, 1.0);
-                self.instruments.scores.observe(verdict.score);
-                on_score(event, verdict.score);
-                *scored += 1;
+        self.verdict_free_batch(events, scored, on_score);
+    }
+
+    /// The one verdict-free batch loop behind the stats-only and
+    /// scores-only entry points: each event takes
+    /// [`step_event_stats_only`](Self::step_event_stats_only), and its
+    /// score goes to the score histogram (when instrumented) and then to
+    /// `on_score`.
+    #[inline]
+    fn verdict_free_batch(
+        &mut self,
+        events: &[BinaryEvent],
+        scored: &mut usize,
+        mut on_score: impl FnMut(BinaryEvent, f64),
+    ) {
+        let started = self.start_instruments();
+        for &event in events {
+            let score = self.step_event_stats_only(event);
+            if started.is_some() {
+                self.instruments.scores.observe(score);
             }
-        } else {
-            for &event in events {
-                let score = self.step_event_stats_only(event);
-                on_score(event, score);
-                *scored += 1;
-            }
+            on_score(event, score);
+            *scored += 1;
         }
-        if let Some(start) = started {
-            self.instruments.events.add(events.len() as u64);
-            self.instruments.tracking_len.set(self.w.len() as u64);
-            self.instruments
-                .contextual
-                .add(self.stats.contextual_alarms - stats_before.contextual_alarms);
-            self.instruments
-                .collective
-                .add(self.stats.collective_alarms - stats_before.collective_alarms);
-            self.instruments
-                .latency_us
-                .observe(start.elapsed().as_secs_f64() * 1e6);
+        if let Some(started) = started {
+            self.flush_instruments(started, events.len());
         }
     }
 
@@ -817,7 +781,7 @@ mod tests {
     /// Two devices. Device 1's CPT: strongly follows device 0's lag-1
     /// state. Device 0's CPT: flips constantly (any report is normal-ish
     /// when it alternates).
-    fn two_device_dig() -> Dig {
+    fn two_device_dig() -> Arc<Dig> {
         let c0 = LaggedVar::new(DeviceId::from_index(0), 1);
         // Device 0: autocorrelation — flips are normal, repeats are not.
         let mut cpt0 = Cpt::new(vec![c0], 0.0);
@@ -831,14 +795,14 @@ mod tests {
             cpt1.record(0, i < 10); // cause off -> mostly off
             cpt1.record(1, i >= 10); // cause on -> mostly on
         }
-        Dig::new(1, vec![vec![c0], vec![c0]], vec![cpt0, cpt1])
+        Arc::new(Dig::new(1, vec![vec![c0], vec![c0]], vec![cpt0, cpt1]))
     }
 
     #[test]
     fn contextual_anomaly_with_kmax_one() {
         let dig = two_device_dig();
         let cfg = DetectorConfig::new(0.5, 1);
-        let mut det = KSequenceDetector::new(&dig, SystemState::all_off(2), cfg);
+        let mut det = KSequenceDetector::new(dig, SystemState::all_off(2), cfg);
         // Device 1 turning ON while device 0 is OFF: P(on | off) = 0.1,
         // score 0.9 -> contextual alarm.
         let verdict = det.observe(bev(1, 1, true));
@@ -857,7 +821,7 @@ mod tests {
     fn normal_events_raise_nothing() {
         let dig = two_device_dig();
         let cfg = DetectorConfig::new(0.5, 1);
-        let mut det = KSequenceDetector::new(&dig, SystemState::all_off(2), cfg);
+        let mut det = KSequenceDetector::new(dig, SystemState::all_off(2), cfg);
         // Device 0 turns on (P = 0.9, score 0.1), then device 1 follows
         // (P = 0.9, score 0.1).
         let v0 = det.observe(bev(1, 0, true));
@@ -870,7 +834,7 @@ mod tests {
     fn collective_chain_tracked_to_kmax() {
         let dig = two_device_dig();
         let cfg = DetectorConfig::new(0.5, 2);
-        let mut det = KSequenceDetector::new(&dig, SystemState::all_off(2), cfg);
+        let mut det = KSequenceDetector::new(dig, SystemState::all_off(2), cfg);
         // Attacker ghost-activates device 1 (contextual, score 0.9); the
         // following device-0 flip is normal (score 0.1) and rides the
         // malicious context -> collective alarm of length 2.
@@ -891,7 +855,7 @@ mod tests {
     fn abrupt_event_ends_tracking_and_is_dropped_by_default() {
         let dig = two_device_dig();
         let cfg = DetectorConfig::new(0.5, 3);
-        let mut det = KSequenceDetector::new(&dig, SystemState::all_off(2), cfg);
+        let mut det = KSequenceDetector::new(dig, SystemState::all_off(2), cfg);
         // Contextual anomaly opens W.
         det.observe(bev(1, 1, true));
         assert_eq!(det.tracking_len(), 1);
@@ -910,7 +874,7 @@ mod tests {
         let dig = two_device_dig();
         let mut cfg = DetectorConfig::new(0.5, 3);
         cfg.restart_on_abrupt = true;
-        let mut det = KSequenceDetector::new(&dig, SystemState::all_off(2), cfg);
+        let mut det = KSequenceDetector::new(dig, SystemState::all_off(2), cfg);
         det.observe(bev(1, 1, true));
         let v = det.observe(bev(2, 1, true));
         assert_eq!(v.alarms.len(), 1);
@@ -921,7 +885,7 @@ mod tests {
     fn reset_tracking_clears_w() {
         let dig = two_device_dig();
         let cfg = DetectorConfig::new(0.5, 4);
-        let mut det = KSequenceDetector::new(&dig, SystemState::all_off(2), cfg);
+        let mut det = KSequenceDetector::new(dig, SystemState::all_off(2), cfg);
         det.observe(bev(1, 1, true));
         assert_eq!(det.tracking_len(), 1);
         det.reset_tracking();
@@ -938,7 +902,7 @@ mod tests {
     fn reset_mid_chain_never_leaks_pre_reset_events() {
         let dig = two_device_dig();
         let cfg = DetectorConfig::new(0.5, 3);
-        let mut det = KSequenceDetector::new(&dig, SystemState::all_off(2), cfg);
+        let mut det = KSequenceDetector::new(dig, SystemState::all_off(2), cfg);
         // Open a chain: ghost activation (ordinal 0) + a rider (ordinal 1).
         det.observe(bev(1, 1, true));
         det.observe(bev(2, 0, true));
@@ -961,17 +925,5 @@ mod tests {
             "collective alarm referenced pre-reset events: {:?}",
             alarm.events.iter().map(|e| e.ordinal).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn owned_and_borrowed_detectors_share_one_implementation() {
-        use std::sync::Arc;
-        let dig = Arc::new(two_device_dig());
-        let cfg = DetectorConfig::new(0.5, 2);
-        let mut borrowed = KSequenceDetector::new(&*dig, SystemState::all_off(2), cfg);
-        let mut owned = KSequenceDetector::new(Arc::clone(&dig), SystemState::all_off(2), cfg);
-        for event in [bev(1, 1, true), bev(2, 0, true), bev(3, 1, false)] {
-            assert_eq!(borrowed.observe(event), owned.observe(event));
-        }
     }
 }

@@ -967,12 +967,13 @@ mod tests {
         let reg = registry();
         let model = fitted();
         let restored = FittedModel::load(&model.save()).expect("loads");
-        let mut original = model.monitor();
-        let mut replica = restored.monitor();
+        let mut original = model.into_monitor();
+        let mut replica = restored.into_monitor();
         let holdout = raw_log(&reg);
+        let ctx = crate::pipeline::ObserveCtx::new();
         for event in holdout.iter().skip(200) {
-            let a = original.observe_raw(event);
-            let b = replica.observe_raw(event);
+            let a = original.observe_with(event.into(), &ctx);
+            let b = replica.observe_with(event.into(), &ctx);
             assert_eq!(a, b, "diverged at t={:?}", event.time);
         }
     }

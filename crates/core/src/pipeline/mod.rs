@@ -2,7 +2,7 @@
 //!
 //! [`CausalIot`] bundles the Event Preprocessor, the Interaction Miner, and
 //! the score-threshold calculator behind a builder; fitting produces a
-//! [`FittedModel`] from which stateful [`Monitor`]s are spawned.
+//! [`FittedModel`] from which stateful [`OwnedMonitor`]s are spawned.
 //!
 //! Fitting itself is an explicit typed stage pipeline ([`stages`]):
 //! `RawEvents → Preprocessed → Snapshotted → MinedGraph → CalibratedModel`.
@@ -23,7 +23,6 @@ pub use stages::{
     CalibratedModel, FitPipeline, FitStage, MinedGraph, Preprocessed, RawEvents, Snapshotted,
 };
 
-use std::ops::Deref;
 use std::sync::Arc;
 
 use iot_model::{BinaryEvent, DeviceEvent, DeviceRegistry, EventLog, StateValue, SystemState};
@@ -353,10 +352,8 @@ struct ModelInner {
 ///
 /// The fit artefacts are immutable and `Arc`-backed, so cloning a
 /// `FittedModel` is a reference-count bump — share one fitted model across
-/// threads, spawn any number of concurrent [`OwnedMonitor`]s from it (via
-/// [`FittedModel::into_monitor`]), or keep using the borrowing
-/// [`FittedModel::monitor`] for single-threaded sessions. Both monitor
-/// flavours run the identical detector core.
+/// threads and spawn any number of concurrent [`OwnedMonitor`]s from it
+/// with `model.clone().into_monitor()`.
 #[derive(Debug, Clone)]
 pub struct FittedModel {
     inner: Arc<ModelInner>,
@@ -547,49 +544,6 @@ impl FittedModel {
         }
     }
 
-    fn monitor_counters(&self) -> (Counter, Counter, Counter) {
-        (
-            self.inner.telemetry.counter("monitor.drop.duplicate"),
-            self.inner.telemetry.counter("monitor.drop.extreme"),
-            self.inner.telemetry.counter("monitor.drop.non_finite"),
-        )
-    }
-
-    /// Spawns a monitor resuming from the end-of-training state, with the
-    /// configured `k_max`.
-    pub fn monitor(&self) -> Monitor<'_> {
-        self.monitor_with(
-            self.inner.config.k_max,
-            self.inner.final_train_state.clone(),
-        )
-    }
-
-    /// Spawns a monitor with an explicit `k_max` and initial state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k_max == 0`.
-    pub fn monitor_with(&self, k_max: usize, initial: SystemState) -> Monitor<'_> {
-        let mut detector =
-            KSequenceDetector::new(&*self.inner.dig, initial, self.detector_config(k_max));
-        detector.set_telemetry(&self.inner.telemetry);
-        let (drop_duplicate_counter, drop_extreme_counter, drop_non_finite_counter) =
-            self.monitor_counters();
-        Monitor {
-            core: MonitorCore {
-                detector,
-                preprocessor: self.inner.preprocessor.as_deref(),
-                batch: Vec::new(),
-                dropped_duplicate: 0,
-                dropped_extreme: 0,
-                dropped_non_finite: 0,
-                drop_duplicate_counter,
-                drop_extreme_counter,
-                drop_non_finite_counter,
-            },
-        }
-    }
-
     /// Converts the model handle into an [`OwnedMonitor`] — `Send +
     /// 'static`, resuming from the end-of-training state with the
     /// configured `k_max`.
@@ -615,21 +569,17 @@ impl FittedModel {
             initial,
             self.detector_config(k_max),
         );
-        detector.set_telemetry(&self.inner.telemetry);
-        let (drop_duplicate_counter, drop_extreme_counter, drop_non_finite_counter) =
-            self.monitor_counters();
+        let telemetry = &self.inner.telemetry;
+        detector.set_telemetry(telemetry);
         OwnedMonitor {
-            core: MonitorCore {
-                detector,
-                preprocessor: self.inner.preprocessor.clone(),
-                batch: Vec::new(),
-                dropped_duplicate: 0,
-                dropped_extreme: 0,
-                dropped_non_finite: 0,
-                drop_duplicate_counter,
-                drop_extreme_counter,
-                drop_non_finite_counter,
-            },
+            detector,
+            preprocessor: self.inner.preprocessor.clone(),
+            dropped_duplicate: 0,
+            dropped_extreme: 0,
+            dropped_non_finite: 0,
+            drop_duplicate_counter: telemetry.counter("monitor.drop.duplicate"),
+            drop_extreme_counter: telemetry.counter("monitor.drop.extreme"),
+            drop_non_finite_counter: telemetry.counter("monitor.drop.non_finite"),
         }
     }
 
@@ -665,9 +615,9 @@ impl FittedModel {
     }
 }
 
-/// Why a raw event was dropped instead of scored — by
-/// [`Monitor::observe_raw`]'s preprocessing checks or by the
-/// [`crate::ingest`] guard's dead-letter path.
+/// Why a raw event was dropped instead of scored — by the preprocessing
+/// checks of [`OwnedMonitor::observe_with`] on an [`Observation::Raw`] or
+/// by the [`crate::ingest`] guard's dead-letter path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DropReason {
     /// The event reported the device's current binary state (a duplicated
@@ -707,10 +657,10 @@ impl std::fmt::Display for DropReason {
 
 impl std::error::Error for DropReason {}
 
-/// One observation for the unified monitor entry point
-/// ([`Monitor::observe_with`] / [`OwnedMonitor::observe_with`]): either an
-/// already-binarised event or a raw platform event still to be sanitised
-/// and binarised against the fitted preprocessor.
+/// One observation for the canonical monitor entry point
+/// ([`OwnedMonitor::observe_with`]): either an already-binarised event or
+/// a raw platform event still to be sanitised and binarised against the
+/// fitted preprocessor.
 #[derive(Debug, Clone, Copy)]
 pub enum Observation<'a> {
     /// A preprocessed binary event — always scored, never dropped.
@@ -732,11 +682,12 @@ impl<'a> From<&'a DeviceEvent> for Observation<'a> {
     }
 }
 
-/// Ambient context for [`Monitor::observe_with`] /
-/// [`OwnedMonitor::observe_with`]. The default context scores at full
-/// confidence; attach a [`StaleSet`] for degraded mode. Non-exhaustive so
-/// future context (e.g. per-event deadlines) is not a breaking change —
-/// build it with [`ObserveCtx::new`] / [`ObserveCtx::with_stale`].
+/// Ambient context for [`OwnedMonitor::observe_with`] and
+/// [`OwnedMonitor::observe_batch_into`]. The default context scores at
+/// full confidence; attach a [`StaleSet`] for degraded mode.
+/// Non-exhaustive so future context (e.g. per-event deadlines) is not a
+/// breaking change — build it with [`ObserveCtx::new`] /
+/// [`ObserveCtx::with_stale`].
 #[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
 pub struct ObserveCtx<'a> {
@@ -761,22 +712,37 @@ impl<'a> ObserveCtx<'a> {
     }
 }
 
-/// The single monitor implementation behind both [`Monitor`] and
-/// [`OwnedMonitor`]: generic over how the DIG (`D`) and the fitted
-/// preprocessor (`P`) are held, so the borrowing and the owned flavour are
-/// the same code and emit bit-identical verdicts by construction.
+/// A stateful runtime monitor: the paper's Event Monitor (§V-C,
+/// Algorithm 2) for one stream.
+///
+/// `OwnedMonitor` is `Send + 'static`: the DIG and preprocessor are held
+/// through `Arc`s shared with its [`FittedModel`], so it can be moved into
+/// worker threads, stored in long-lived services, or driven by the
+/// `iot-serve` hub. It is created with [`FittedModel::into_monitor`] (the
+/// model handle itself is a cheap `Arc` clone).
+///
+/// Five entry points score events: [`observe_with`](Self::observe_with)
+/// (the canonical one), its binary shorthand [`observe`](Self::observe),
+/// and the batch paths [`observe_batch_into`](Self::observe_batch_into),
+/// [`observe_batch_stats_only`](Self::observe_batch_stats_only) and
+/// [`observe_batch_scores_only`](Self::observe_batch_scores_only).
+///
+/// # Panic safety
+///
+/// The monitor mutates its phantom-state machine and tracking window
+/// *during* [`observe`](OwnedMonitor::observe); if a call unwinds (e.g. a
+/// caller-injected fault caught with `std::panic::catch_unwind`), the
+/// monitor's internal state is unspecified — structurally sound (no
+/// `unsafe` anywhere in this crate, and the shared `Arc`'d model data is
+/// immutable, so other monitors on the same model are unaffected) but
+/// possibly mid-transition. Do not feed further events to a monitor that
+/// has unwound: retire it and spawn a replacement from the (untouched)
+/// `FittedModel`, as the `iot-serve` hub's quarantine-and-restore path
+/// does.
 #[derive(Debug, Clone)]
-struct MonitorCore<D, P>
-where
-    D: Deref<Target = Dig>,
-    P: Deref<Target = FittedPreprocessor>,
-{
-    detector: KSequenceDetector<D>,
-    preprocessor: Option<P>,
-    /// Reusable verdict scratch backing `observe_batch`'s returned slice —
-    /// cleared at the start of every batch, so no allocation after the
-    /// first call at steady batch sizes.
-    batch: Vec<Verdict>,
+pub struct OwnedMonitor {
+    detector: KSequenceDetector,
+    preprocessor: Option<Arc<FittedPreprocessor>>,
     dropped_duplicate: u64,
     dropped_extreme: u64,
     dropped_non_finite: u64,
@@ -785,42 +751,108 @@ where
     drop_non_finite_counter: Counter,
 }
 
-impl<D, P> MonitorCore<D, P>
-where
-    D: Deref<Target = Dig>,
-    P: Deref<Target = FittedPreprocessor>,
-{
-    /// The canonical observe entry point every public variant delegates to.
-    fn observe_with(
+impl OwnedMonitor {
+    /// The canonical observe entry point: scores one observation — binary
+    /// or raw — under the given context. A raw observation is sanitised
+    /// (non-finite, three-sigma extreme, and duplicate-state checks
+    /// against the fitted statistics) and binarised with the fitted
+    /// thresholds first. A context carrying a [`StaleSet`] scores in
+    /// **degraded mode**: the verdict's
+    /// [`confidence`](Verdict::confidence) is discounted by the fraction
+    /// of the device's CPT parents flagged stale (with an empty stale set
+    /// the verdict equals the default context's).
+    ///
+    /// # Errors
+    ///
+    /// Raw observations can be dropped by preprocessing with a
+    /// [`DropReason`] ([`NonFinite`](DropReason::NonFinite),
+    /// [`Extreme`](DropReason::Extreme) or
+    /// [`Duplicate`](DropReason::Duplicate)); binary observations are
+    /// always scored, so for [`Observation::Binary`] the result is always
+    /// `Ok`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for raw observations if the model was fitted with
+    /// [`CausalIot::fit_binary`] (no preprocessor is available).
+    pub fn observe_with(
         &mut self,
         input: Observation<'_>,
         ctx: &ObserveCtx<'_>,
     ) -> Result<Verdict, DropReason> {
-        match input {
-            Observation::Binary(event) => Ok(match ctx.stale {
-                Some(stale) => self.detector.observe_degraded(event, stale),
-                None => self.detector.observe(event),
-            }),
-            Observation::Raw(event) => self.observe_raw_with(event, ctx.stale),
-        }
+        let event = match input {
+            Observation::Binary(event) => event,
+            Observation::Raw(event) => self.binarize(event)?,
+        };
+        Ok(match ctx.stale {
+            Some(stale) => self.detector.observe_degraded(event, stale),
+            None => self.detector.observe(event),
+        })
     }
 
-    fn observe_batch(&mut self, events: &[BinaryEvent]) -> &[Verdict] {
-        self.batch.clear();
-        self.detector
-            .observe_batch_into(events, None, &mut self.batch);
-        &self.batch
+    /// Processes one preprocessed binary event: the binary shorthand of
+    /// [`observe_with`](Self::observe_with) under the default context,
+    /// without its infallible `Result`.
+    #[inline]
+    pub fn observe(&mut self, event: BinaryEvent) -> Verdict {
+        self.detector.observe(event)
     }
 
-    fn observe_raw_with(
+    /// Processes a whole batch of preprocessed binary events under `ctx`,
+    /// appending one verdict per event to `out` in stream order.
+    ///
+    /// Verdicts are **bit-identical** to `N` sequential
+    /// [`observe_with`](Self::observe_with) calls under the same context;
+    /// the batch amortises telemetry flushes (counters and the latency
+    /// sample land once per batch). Verdicts are pushed as each event
+    /// completes, so on a mid-batch panic `out` holds exactly the verdicts
+    /// of the events before the panicking one.
+    pub fn observe_batch_into(
         &mut self,
-        event: &DeviceEvent,
-        stale: Option<&StaleSet>,
-    ) -> Result<Verdict, DropReason> {
+        events: &[BinaryEvent],
+        ctx: &ObserveCtx<'_>,
+        out: &mut Vec<Verdict>,
+    ) {
+        self.detector.observe_batch_into(events, ctx.stale, out)
+    }
+
+    /// [`observe_batch_into`](Self::observe_batch_into) with verdict
+    /// materialisation elided: phantom-state transitions, tracking
+    /// dynamics, [`report`](Self::report) counters, and the telemetry
+    /// flush stay bit-identical to the sequential path, but no verdict
+    /// or alarm payload is built — the zero-allocation hot path for
+    /// callers that only consume counters (the serving hub's burst
+    /// loop, when no recorder or verdict log is attached). `scored` is
+    /// bumped once per completed event, so on a mid-batch panic it
+    /// holds the panicking event's exact index.
+    pub fn observe_batch_stats_only(&mut self, events: &[BinaryEvent], scored: &mut usize) {
+        self.detector.observe_batch_stats_only(events, scored)
+    }
+
+    /// [`observe_batch_stats_only`](Self::observe_batch_stats_only)
+    /// surfacing each event's anomaly score to `on_score` as it
+    /// completes — the hook the drift detector
+    /// ([`crate::monitor::DriftDetector`]) rides on the serving hot
+    /// path. Side effects stay bit-identical to the stats-only
+    /// path; the score is a value that path already computes.
+    pub fn observe_batch_scores_only(
+        &mut self,
+        events: &[BinaryEvent],
+        scored: &mut usize,
+        on_score: &mut dyn FnMut(BinaryEvent, f64),
+    ) {
+        self.detector
+            .observe_batch_scores_only(events, scored, on_score)
+    }
+
+    /// The raw-reading gate in front of the detector: drops non-finite
+    /// readings, three-sigma extremes, and readings equal to the device's
+    /// current state, counting each drop; binarises the rest.
+    fn binarize(&mut self, event: &DeviceEvent) -> Result<BinaryEvent, DropReason> {
         let pp = self
             .preprocessor
             .as_deref()
-            .expect("observe_raw requires a model fitted on raw logs");
+            .expect("raw observations require a model fitted on raw logs");
         if let StateValue::Numeric(v) = event.value {
             if !v.is_finite() {
                 self.dropped_non_finite += 1;
@@ -839,13 +871,13 @@ where
             self.drop_duplicate_counter.inc();
             return Err(DropReason::Duplicate);
         }
-        Ok(match stale {
-            Some(stale) => self.detector.observe_degraded(bin, stale),
-            None => self.detector.observe(bin),
-        })
+        Ok(bin)
     }
 
-    fn report(&self) -> MonitorReport {
+    /// The session's observability report: events scored, drops by reason,
+    /// alarms by kind, and — when the model carries an enabled telemetry
+    /// handle — latency and score distributions.
+    pub fn report(&self) -> MonitorReport {
         let stats = self.detector.stats();
         MonitorReport {
             events_observed: stats.events,
@@ -861,303 +893,24 @@ where
             scores: DistributionSummary::from_histogram(&self.detector.score_snapshot()),
         }
     }
-}
 
-/// A stateful runtime monitor borrowing from a fitted model.
-///
-/// The borrowing flavour: zero reference-count traffic, ideal for
-/// single-threaded sessions that never outlive the [`FittedModel`]. For a
-/// monitor that can move across threads, see [`OwnedMonitor`] — both wrap
-/// the same detector core.
-#[derive(Debug, Clone)]
-pub struct Monitor<'a> {
-    core: MonitorCore<&'a Dig, &'a FittedPreprocessor>,
-}
+    /// The monitor's current system state.
+    pub fn current_state(&self) -> &SystemState {
+        self.detector.current_state()
+    }
 
-/// A stateful runtime monitor that owns (shares) its fitted model.
-///
-/// `OwnedMonitor` is `Send + 'static`: the DIG and preprocessor are held
-/// through `Arc`s, so it can be moved into worker threads, stored in
-/// long-lived services, or driven by the `iot-serve` hub. It is created
-/// with [`FittedModel::into_monitor`] (the model handle itself is a cheap
-/// `Arc` clone) and behaves bit-identically to the borrowing [`Monitor`].
-///
-/// # Panic safety
-///
-/// The monitor mutates its phantom-state machine and tracking window
-/// *during* [`observe`](OwnedMonitor::observe); if a call unwinds (e.g. a
-/// caller-injected fault caught with `std::panic::catch_unwind`), the
-/// monitor's internal state is unspecified — structurally sound (no
-/// `unsafe` anywhere in this crate, and the shared `Arc`'d model data is
-/// immutable, so other monitors on the same model are unaffected) but
-/// possibly mid-transition. Do not feed further events to a monitor that
-/// has unwound: retire it and spawn a replacement from the (untouched)
-/// `FittedModel`, as the `iot-serve` hub's quarantine-and-restore path
-/// does.
-#[derive(Debug, Clone)]
-pub struct OwnedMonitor {
-    core: MonitorCore<Arc<Dig>, Arc<FittedPreprocessor>>,
-}
+    /// Number of events currently tracked as a potential collective
+    /// anomaly.
+    pub fn tracking_len(&self) -> usize {
+        self.detector.tracking_len()
+    }
 
-macro_rules! monitor_methods {
-    () => {
-        /// The canonical observe entry point: scores one observation —
-        /// binary or raw — under the given context. Every other observe
-        /// variant is an `#[inline]` wrapper over this method:
-        ///
-        /// * [`observe`](Self::observe) =
-        ///   `observe_with(Binary(e), &default)`
-        /// * [`observe_raw`](Self::observe_raw) =
-        ///   `observe_with(Raw(e), &default)`
-        /// * [`observe_degraded`](Self::observe_degraded) =
-        ///   `observe_with(Binary(e), &with_stale(s))`
-        /// * [`observe_raw_degraded`](Self::observe_raw_degraded) =
-        ///   `observe_with(Raw(e), &with_stale(s))`
-        ///
-        /// # Errors
-        ///
-        /// Raw observations can be dropped by preprocessing with a
-        /// [`DropReason`]; binary observations are always scored, so for
-        /// [`Observation::Binary`] the result is always `Ok`.
-        ///
-        /// # Panics
-        ///
-        /// Panics for raw observations if the model was fitted with
-        /// [`CausalIot::fit_binary`] (no preprocessor is available).
-        pub fn observe_with(
-            &mut self,
-            input: Observation<'_>,
-            ctx: &ObserveCtx<'_>,
-        ) -> Result<Verdict, DropReason> {
-            self.core.observe_with(input, ctx)
-        }
-
-        /// Processes one preprocessed binary event.
-        ///
-        /// Equivalent to [`observe_with`](Self::observe_with) with a
-        /// [`Observation::Binary`] input and the default context — prefer
-        /// `observe_with` in new code.
-        #[inline]
-        pub fn observe(&mut self, event: BinaryEvent) -> Verdict {
-            match self
-                .core
-                .observe_with(Observation::Binary(event), &ObserveCtx::new())
-            {
-                Ok(verdict) => verdict,
-                Err(_) => unreachable!("binary observations are never dropped"),
-            }
-        }
-
-        /// Processes a whole batch of preprocessed binary events, returning
-        /// one verdict per event in stream order.
-        ///
-        /// Verdicts are **bit-identical** to `N` sequential
-        /// [`observe`](Self::observe) calls; the batch amortises telemetry
-        /// flushes (counters and the latency sample land once per batch).
-        /// The returned slice borrows the monitor's internal scratch buffer
-        /// and is overwritten by the next batch; use
-        /// [`observe_batch_into`](Self::observe_batch_into) to accumulate
-        /// into your own buffer instead.
-        pub fn observe_batch(&mut self, events: &[BinaryEvent]) -> &[Verdict] {
-            self.core.observe_batch(events)
-        }
-
-        /// [`observe_batch`](Self::observe_batch) appending into a
-        /// caller-owned buffer (one verdict per event, pushed as each event
-        /// completes — on a mid-batch panic `out` holds exactly the
-        /// verdicts of the events before the panicking one).
-        pub fn observe_batch_into(&mut self, events: &[BinaryEvent], out: &mut Vec<Verdict>) {
-            self.core.detector.observe_batch_into(events, None, out)
-        }
-
-        /// [`observe_batch_into`](Self::observe_batch_into) with verdict
-        /// materialisation elided: phantom-state transitions, tracking
-        /// dynamics, [`report`](Self::report) counters, and the telemetry
-        /// flush stay bit-identical to the sequential path, but no verdict
-        /// or alarm payload is built — the zero-allocation hot path for
-        /// callers that only consume counters (the serving hub's burst
-        /// loop, when no recorder or verdict log is attached). `scored` is
-        /// bumped once per completed event, so on a mid-batch panic it
-        /// holds the panicking event's exact index.
-        pub fn observe_batch_stats_only(&mut self, events: &[BinaryEvent], scored: &mut usize) {
-            self.core.detector.observe_batch_stats_only(events, scored)
-        }
-
-        /// [`observe_batch_stats_only`](Self::observe_batch_stats_only)
-        /// surfacing each event's anomaly score to `on_score` as it
-        /// completes — the hook the drift detector
-        /// ([`crate::monitor::DriftDetector`]) rides on the serving hot
-        /// path. Side effects stay bit-identical to the stats-only
-        /// path; the score is a value that path already computes.
-        pub fn observe_batch_scores_only(
-            &mut self,
-            events: &[BinaryEvent],
-            scored: &mut usize,
-            on_score: &mut dyn FnMut(BinaryEvent, f64),
-        ) {
-            self.core
-                .detector
-                .observe_batch_scores_only(events, scored, on_score)
-        }
-
-        /// [`observe_batch_into`](Self::observe_batch_into) in **degraded
-        /// mode**: every event is scored with its confidence discounted
-        /// against `stale`, exactly as N sequential
-        /// [`observe_degraded`](Self::observe_degraded) calls.
-        pub fn observe_batch_degraded_into(
-            &mut self,
-            events: &[BinaryEvent],
-            stale: &crate::ingest::StaleSet,
-            out: &mut Vec<Verdict>,
-        ) {
-            self.core
-                .detector
-                .observe_batch_into(events, Some(stale), out)
-        }
-
-        /// Processes one **raw** platform event: sanitises (duplicate/extreme
-        /// checks against the fitted statistics), binarises with the fitted
-        /// thresholds, and feeds the detector. Returns `Err` with the
-        /// [`DropReason`] when the event is dropped by preprocessing.
-        ///
-        /// Equivalent to [`observe_with`](Self::observe_with) with a
-        /// [`Observation::Raw`] input and the default context — prefer
-        /// `observe_with` in new code.
-        ///
-        /// # Errors
-        ///
-        /// [`DropReason::Extreme`] for readings outside the fitted three-sigma
-        /// band, [`DropReason::Duplicate`] for events re-reporting the current
-        /// binary state.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the model was fitted with [`CausalIot::fit_binary`] (no
-        /// preprocessor is available).
-        #[inline]
-        pub fn observe_raw(&mut self, event: &DeviceEvent) -> Result<Verdict, DropReason> {
-            self.core
-                .observe_with(Observation::Raw(event), &ObserveCtx::new())
-        }
-
-        /// [`observe`](Self::observe) under **degraded mode**: scores the
-        /// event normally but discounts the verdict's
-        /// [`confidence`](Verdict::confidence) by the fraction of the
-        /// device's CPT parents currently flagged stale in `stale`. With an
-        /// empty stale set the verdict is bit-identical to
-        /// [`observe`](Self::observe).
-        ///
-        /// Equivalent to [`observe_with`](Self::observe_with) with a
-        /// stale-carrying context — prefer `observe_with` in new code.
-        #[inline]
-        pub fn observe_degraded(
-            &mut self,
-            event: BinaryEvent,
-            stale: &crate::ingest::StaleSet,
-        ) -> Verdict {
-            match self
-                .core
-                .observe_with(Observation::Binary(event), &ObserveCtx::with_stale(stale))
-            {
-                Ok(verdict) => verdict,
-                Err(_) => unreachable!("binary observations are never dropped"),
-            }
-        }
-
-        /// [`observe_raw`](Self::observe_raw) under **degraded mode**: same
-        /// preprocessing checks, with the verdict's confidence discounted
-        /// for stale CPT parents as in
-        /// [`observe_degraded`](Self::observe_degraded).
-        ///
-        /// Equivalent to [`observe_with`](Self::observe_with) with a
-        /// stale-carrying context — prefer `observe_with` in new code.
-        ///
-        /// # Errors
-        ///
-        /// Same [`DropReason`]s as [`observe_raw`](Self::observe_raw).
-        ///
-        /// # Panics
-        ///
-        /// Panics if the model was fitted with [`CausalIot::fit_binary`] (no
-        /// preprocessor is available).
-        #[inline]
-        pub fn observe_raw_degraded(
-            &mut self,
-            event: &DeviceEvent,
-            stale: &crate::ingest::StaleSet,
-        ) -> Result<Verdict, DropReason> {
-            self.core
-                .observe_with(Observation::Raw(event), &ObserveCtx::with_stale(stale))
-        }
-
-        /// The session's observability report: events scored, drops by reason,
-        /// alarms by kind, and — when the model carries an enabled telemetry
-        /// handle — latency and score distributions.
-        pub fn report(&self) -> MonitorReport {
-            self.core.report()
-        }
-
-        /// The monitor's current system state.
-        pub fn current_state(&self) -> &SystemState {
-            self.core.detector.current_state()
-        }
-
-        /// Number of events currently tracked as a potential collective
-        /// anomaly.
-        pub fn tracking_len(&self) -> usize {
-            self.core.detector.tracking_len()
-        }
-
-        /// Clears in-progress collective tracking, discarding the in-flight
-        /// chain *and* its telemetry gauge — after a reset no verdict or
-        /// metric can reference pre-reset events.
-        pub fn reset_tracking(&mut self) {
-            self.core.detector.reset_tracking()
-        }
-
-        /// Serialises the monitor's **runtime-mutable** state — detector
-        /// stats, preprocessing drop counters, stream ordinal, phantom
-        /// state machine, and the in-flight collective tracking window —
-        /// as a byte-stable `causaliot-runtime v1` line document.
-        ///
-        /// The document is the live-state counterpart of a v2 checkpoint:
-        /// restoring it onto a fresh monitor built from the *same* fitted
-        /// model ([`restore_runtime_state`](Self::restore_runtime_state))
-        /// yields bit-identical subsequent verdicts. Everything derivable
-        /// from the model (score tables, config, telemetry instruments) is
-        /// rebuilt rather than persisted, so documents are small and
-        /// model-versioned by construction.
-        pub fn export_runtime_state(&self) -> String {
-            self.core.export_runtime_state()
-        }
-
-        /// Restores runtime state previously captured with
-        /// [`export_runtime_state`](Self::export_runtime_state),
-        /// overwriting this monitor's detector stats, drop counters,
-        /// stream ordinal, phantom state machine, and tracking window.
-        ///
-        /// The monitor must have been built from the same fitted model
-        /// that produced the document (same τ and device count — enforced;
-        /// same learned parameters — the caller's contract, normally
-        /// guaranteed by persisting the model checkpoint alongside).
-        ///
-        /// # Errors
-        ///
-        /// Fails closed on any malformed, truncated, or shape-mismatched
-        /// document, reporting the offending line; the monitor is left
-        /// untouched on error.
-        pub fn restore_runtime_state(&mut self, text: &str) -> Result<(), CausalIotError> {
-            self.core.restore_runtime_state(text)
-        }
-    };
-}
-
-impl Monitor<'_> {
-    monitor_methods!();
-}
-
-impl OwnedMonitor {
-    monitor_methods!();
+    /// Clears in-progress collective tracking, discarding the in-flight
+    /// chain *and* its telemetry gauge — after a reset no verdict or
+    /// metric can reference pre-reset events.
+    pub fn reset_tracking(&mut self) {
+        self.detector.reset_tracking()
+    }
 }
 
 #[cfg(test)]
@@ -1222,7 +975,7 @@ mod tests {
         let lamp = reg.id_of("S_lamp").unwrap();
         assert!(model.dig().interaction_pairs().contains(&(pe, lamp)));
 
-        let mut monitor = model.monitor();
+        let mut monitor = model.clone().into_monitor();
         // Drive the home to a known all-OFF state (normal wind-down),
         // then inject a ghost lamp activation with no presence — it
         // violates the PE -> lamp interaction.
@@ -1266,7 +1019,7 @@ mod tests {
         }
         let model = CausalIot::builder().tau(2).build().fit(&reg, &log).unwrap();
         assert!(model.preprocessor().is_some());
-        let mut monitor = model.monitor();
+        let mut monitor = model.into_monitor();
         // Raw duplicate: lamp reports its current state -> dropped.
         let current = monitor.current_state().get(lamp);
         let dup = DeviceEvent::new(
@@ -1274,14 +1027,18 @@ mod tests {
             lamp,
             StateValue::Binary(current),
         );
-        assert_eq!(monitor.observe_raw(&dup), Err(DropReason::Duplicate));
+        let ctx = ObserveCtx::new();
+        assert_eq!(
+            monitor.observe_with(Observation::Raw(&dup), &ctx),
+            Err(DropReason::Duplicate)
+        );
         // Genuine flip passes through.
         let flip = DeviceEvent::new(
             Timestamp::from_secs(50_001),
             lamp,
             StateValue::Binary(!current),
         );
-        assert!(monitor.observe_raw(&flip).is_ok());
+        assert!(monitor.observe_with(Observation::Raw(&flip), &ctx).is_ok());
         // The session report accounts for both.
         let report = monitor.report();
         assert_eq!(report.dropped_duplicate, 1);
@@ -1371,39 +1128,6 @@ mod tests {
     }
 
     #[test]
-    fn owned_and_borrowing_monitors_emit_identical_verdicts() {
-        let reg = registry();
-        let events = training_events(&reg, 300);
-        let model = CausalIot::builder()
-            .tau(2)
-            .k_max(3)
-            .build()
-            .fit_binary(&reg, &events)
-            .unwrap();
-        let mut borrowed = model.monitor();
-        let mut owned = model.clone().into_monitor();
-        // Replay a mix of normal traffic and ghost activations.
-        let lamp = reg.id_of("S_lamp").unwrap();
-        let pe = reg.id_of("PE_room").unwrap();
-        let mut stream = Vec::new();
-        for i in 0..200u64 {
-            let t = 200_000 + i * 30;
-            match i % 5 {
-                0 => stream.push(BinaryEvent::new(Timestamp::from_secs(t), pe, i % 2 == 0)),
-                1 => stream.push(BinaryEvent::new(Timestamp::from_secs(t), lamp, i % 2 == 0)),
-                _ => stream.push(BinaryEvent::new(Timestamp::from_secs(t), lamp, i % 3 == 0)),
-            }
-        }
-        for event in stream {
-            assert_eq!(borrowed.observe(event), owned.observe(event));
-        }
-        assert_eq!(
-            borrowed.current_state().clone(),
-            owned.current_state().clone()
-        );
-    }
-
-    #[test]
     fn owned_monitor_runs_on_another_thread() {
         let reg = registry();
         let events = training_events(&reg, 300);
@@ -1413,7 +1137,7 @@ mod tests {
             .fit_binary(&reg, &events)
             .unwrap();
         let lamp = reg.id_of("S_lamp").unwrap();
-        let mut local = model.monitor();
+        let mut local = model.clone().into_monitor();
         let mut remote = model.clone().into_monitor();
         let ghost = BinaryEvent::new(Timestamp::from_secs(500_000), lamp, true);
         let expected = local.observe(ghost);

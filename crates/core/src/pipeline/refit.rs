@@ -319,9 +319,9 @@ mod tests {
             BinaryEvent::new(Timestamp::from_secs(1_000_000), pe, true),
             BinaryEvent::new(Timestamp::from_secs(1_000_015), lamp, false),
         ];
-        let stale = model.monitor().observe(probe[0]).score;
-        let mut old_mon = model.monitor();
-        let mut new_mon = refitted.monitor();
+        let stale = model.clone().into_monitor().observe(probe[0]).score;
+        let mut old_mon = model.into_monitor();
+        let mut new_mon = refitted.into_monitor();
         let _ = (old_mon.observe(probe[0]), new_mon.observe(probe[0]), stale);
         let old_score = old_mon.observe(probe[1]).score;
         let new_score = new_mon.observe(probe[1]).score;

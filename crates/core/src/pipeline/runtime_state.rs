@@ -9,10 +9,10 @@
 //! any half-tracked collective anomaly and resets the stream position.
 //!
 //! This module closes that gap with a second, much smaller document: the
-//! **runtime-state snapshot**. [`Monitor::export_runtime_state`] /
-//! [`OwnedMonitor::export_runtime_state`] serialise exactly the
-//! runtime-mutable fields; restoring them onto a *freshly built* monitor
-//! from the same model ([`OwnedMonitor::restore_runtime_state`]) yields a
+//! **runtime-state snapshot**. [`OwnedMonitor::export_runtime_state`]
+//! serialises exactly the runtime-mutable fields; restoring them onto a
+//! *freshly built* monitor from the same model
+//! ([`OwnedMonitor::restore_runtime_state`]) yields a
 //! monitor whose subsequent verdicts are **bit-identical** to the
 //! exported one's. Everything derivable from the model — dense score
 //! tables, DIG handle, detector config, telemetry instruments — is
@@ -30,7 +30,7 @@
 //! pm.newest 2 0 1                  # newest ring slot per device
 //! pm.ring 0 1624 1621 1623         # device, tau+1 packed (step<<1|value) entries
 //! pm.ring 1 ...
-//! w 1                              # tracked anomaly window length
+//! w 1                              # tracked anomaly window length (< k_max)
 //! w.event 811 48660000 1 1 0.9375 2  # ordinal, millis, device, value, score, #causes
 //! w.cause 0 1 0                    # cause device, lag, value
 //! end
@@ -45,17 +45,15 @@
 //! epoch).
 
 use std::fmt::Write as _;
-use std::ops::Deref;
 use std::str::FromStr;
 
 use iot_model::{BinaryEvent, DeviceId, SystemState, Timestamp};
 
-use crate::graph::{Dig, LaggedVar};
+use crate::graph::LaggedVar;
 use crate::monitor::{AnomalousEvent, DetectorStats, PhantomStateMachine};
-use crate::preprocess::FittedPreprocessor;
 use crate::CausalIotError;
 
-use super::MonitorCore;
+use super::OwnedMonitor;
 
 pub(super) const MAGIC: &str = "causaliot-runtime v1";
 
@@ -94,12 +92,20 @@ fn parse_bool01(
     }
 }
 
-impl<D, P> MonitorCore<D, P>
-where
-    D: Deref<Target = Dig>,
-    P: Deref<Target = FittedPreprocessor>,
-{
-    pub(super) fn export_runtime_state(&self) -> String {
+impl OwnedMonitor {
+    /// Serialises the monitor's **runtime-mutable** state — detector
+    /// stats, preprocessing drop counters, stream ordinal, phantom state
+    /// machine, and the in-flight collective tracking window — as a
+    /// byte-stable `causaliot-runtime v1` line document.
+    ///
+    /// The document is the live-state counterpart of a v2 checkpoint:
+    /// restoring it onto a fresh monitor built from the *same* fitted
+    /// model ([`restore_runtime_state`](Self::restore_runtime_state))
+    /// yields bit-identical subsequent verdicts. Everything derivable
+    /// from the model (score tables, config, telemetry instruments) is
+    /// rebuilt rather than persisted, so documents are small and
+    /// model-versioned by construction.
+    pub fn export_runtime_state(&self) -> String {
         let mut out = String::new();
         let stats = self.detector.stats();
         let (pm, w, next_ordinal) = self.detector.runtime_parts();
@@ -171,10 +177,29 @@ where
         out
     }
 
-    pub(super) fn restore_runtime_state(&mut self, text: &str) -> Result<(), CausalIotError> {
+    /// Restores runtime state previously captured with
+    /// [`export_runtime_state`](Self::export_runtime_state),
+    /// overwriting this monitor's detector stats, drop counters,
+    /// stream ordinal, phantom state machine, and tracking window.
+    ///
+    /// The monitor must have been built from the same fitted model
+    /// that produced the document (same τ and device count — enforced;
+    /// same learned parameters — the caller's contract, normally
+    /// guaranteed by persisting the model checkpoint alongside).
+    ///
+    /// # Errors
+    ///
+    /// Fails closed on any malformed, truncated, or shape-mismatched
+    /// document, reporting the offending line; the monitor is left
+    /// untouched on error. That includes a tracking window no detector
+    /// can hold: Algorithm 2 flushes `W` as soon as it reaches `k_max`,
+    /// so a `w` header must declare fewer than `k_max` records and be
+    /// followed by exactly that many `w.event` records.
+    pub fn restore_runtime_state(&mut self, text: &str) -> Result<(), CausalIotError> {
         let expect_n = self.detector.current_state().len();
         let expect_tau = self.detector.runtime_parts().0.tau();
         let cap = expect_tau + 1;
+        let k_max = self.detector.config().k_max;
 
         let mut stats: Option<DetectorStats> = None;
         let mut drops: Option<(u64, u64, u64)> = None;
@@ -184,6 +209,8 @@ where
         let mut newest: Option<Vec<u32>> = None;
         let mut hist: Vec<Option<Vec<u64>>> = vec![None; expect_n];
         let mut w: Option<Vec<AnomalousEvent>> = None;
+        // The `w` header's declared record count and its line.
+        let mut w_header = (0usize, 0usize);
         let mut pending_causes = 0usize;
         let mut saw_end = false;
 
@@ -300,12 +327,25 @@ where
                 }
                 "w" => {
                     let len: usize = field(&mut parts, line_no, "w length")?;
+                    if len >= k_max {
+                        return Err(parse_err(
+                            line_no,
+                            format!("w holds {len} records; W flushes at k_max {k_max}"),
+                        ));
+                    }
+                    w_header = (len, line_no);
                     w = Some(Vec::with_capacity(len.min(4096)));
                 }
                 "w.event" => {
                     let w = w
                         .as_mut()
                         .ok_or_else(|| parse_err(line_no, "w.event before w header"))?;
+                    if w.len() == w_header.0 {
+                        return Err(parse_err(
+                            line_no,
+                            format!("w.event beyond the w header's {} records", w_header.0),
+                        ));
+                    }
                     let ordinal: u64 = field(&mut parts, line_no, "w.event ordinal")?;
                     let millis: u64 = field(&mut parts, line_no, "w.event millis")?;
                     let device: usize = field(&mut parts, line_no, "w.event device")?;
@@ -386,6 +426,12 @@ where
             flat_hist.extend_from_slice(&ring);
         }
         let w = w.ok_or_else(|| parse_err(0, "missing w record"))?;
+        if w.len() != w_header.0 {
+            return Err(parse_err(
+                w_header.1,
+                format!("w declares {} records, found {}", w_header.0, w.len()),
+            ));
+        }
 
         let pm = PhantomStateMachine::from_snapshot_parts(
             expect_tau, step, state, flat_hist, newest, last_dev, last_old,
@@ -445,6 +491,17 @@ mod tests {
             .collect()
     }
 
+    /// A ghost activation: the lamp switching on right after presence
+    /// went off opens `W`.
+    fn ghost(reg: &DeviceRegistry) -> [BinaryEvent; 2] {
+        let pe = reg.id_of("PE_room").unwrap();
+        let lamp = reg.id_of("S_lamp").unwrap();
+        [
+            BinaryEvent::new(Timestamp::from_secs(500_000), pe, false),
+            BinaryEvent::new(Timestamp::from_secs(500_060), lamp, true),
+        ]
+    }
+
     #[test]
     fn restored_monitor_continues_bit_identically() {
         let (_reg, model) = fitted();
@@ -479,30 +536,14 @@ mod tests {
     }
 
     #[test]
-    fn borrowing_monitor_exports_the_same_document() {
-        let (_reg, model) = fitted();
-        let mut owned = model.clone().into_monitor();
-        let mut borrowed = model.monitor();
-        for &event in &stream(31, 64) {
-            owned.observe(event);
-            borrowed.observe(event);
-        }
-        assert_eq!(
-            owned.export_runtime_state(),
-            borrowed.export_runtime_state()
-        );
-    }
-
-    #[test]
     fn fresh_monitor_round_trips_with_tracking_in_flight() {
         let (reg, model) = fitted();
-        let lamp = reg.id_of("S_lamp").unwrap();
-        let pe = reg.id_of("PE_room").unwrap();
         let mut original = model.clone().into_monitor();
         // Open a tracking chain (ghost activation) so `W` is non-empty
         // and carries cause context.
-        original.observe(BinaryEvent::new(Timestamp::from_secs(500_000), pe, false));
-        original.observe(BinaryEvent::new(Timestamp::from_secs(500_060), lamp, true));
+        for event in ghost(&reg) {
+            original.observe(event);
+        }
         let doc = original.export_runtime_state();
         let mut restored = model.clone().into_monitor();
         restored.restore_runtime_state(&doc).expect("restore");
@@ -517,6 +558,85 @@ mod tests {
         assert_eq!(a.contextual_alarms, b.contextual_alarms);
         assert_eq!(a.collective_alarms, b.collective_alarms);
         assert_eq!(a.max_tracking_len, b.max_tracking_len);
+    }
+
+    #[test]
+    fn exported_state_does_not_depend_on_telemetry() {
+        use crate::pipeline::FittedModel;
+        use iot_telemetry::{MemorySink, TelemetryHandle};
+
+        let (reg, model) = fitted();
+        let text = model.save();
+        let live = TelemetryHandle::new(Box::new(MemorySink::new()));
+        let monitor = |telemetry: &TelemetryHandle| {
+            FittedModel::load_with_telemetry(&text, telemetry)
+                .expect("load")
+                .into_monitor()
+        };
+        type Path = fn(&mut OwnedMonitor, &[BinaryEvent], &mut usize);
+        let paths: [(&str, Path); 2] = [
+            ("stats-only", |m, events, scored| {
+                m.observe_batch_stats_only(events, scored)
+            }),
+            ("scores-only", |m, events, scored| {
+                m.observe_batch_scores_only(events, scored, &mut |_, _| {})
+            }),
+        ];
+        for (name, path) in paths {
+            let mut instrumented = monitor(&live);
+            let mut plain = monitor(&TelemetryHandle::disabled());
+            for m in [&mut instrumented, &mut plain] {
+                let mut scored = 0;
+                path(m, &ghost(&reg), &mut scored);
+                assert_eq!(scored, 2, "{name}");
+                assert_eq!(m.tracking_len(), 1, "{name}: the ghost must open W");
+            }
+            assert_eq!(
+                instrumented.export_runtime_state(),
+                plain.export_runtime_state(),
+                "{name}: the persisted state depends on telemetry"
+            );
+        }
+    }
+
+    #[test]
+    fn impossible_tracking_windows_fail_closed() {
+        let (reg, model) = fitted();
+        let mut original = model.clone().into_monitor();
+        for event in ghost(&reg) {
+            original.observe(event);
+        }
+        assert_eq!(original.tracking_len(), 1);
+        let doc = original.export_runtime_state();
+        // Split the export around its one tracked record.
+        let head = &doc[..doc.find("\nw 1\n").expect("a one-record W") + 1];
+        let record = &doc[head.len() + "w 1\n".len()..doc.rfind("end\n").unwrap()];
+        let header_line = head.lines().count() + 1;
+        let record_lines = record.lines().count();
+        let forge =
+            |header: &str, copies: usize| format!("{head}{header}\n{}end\n", record.repeat(copies));
+        assert_eq!(forge("w 1", 1), doc);
+
+        let rejects = |text: String, line: usize| {
+            let mut monitor = model.clone().into_monitor();
+            let before = monitor.export_runtime_state();
+            match monitor.restore_runtime_state(&text) {
+                Err(CausalIotError::Model(iot_model::ModelError::ParseLog {
+                    line: at, ..
+                })) => {
+                    assert_eq!(at, line, "wrong line named for:\n{text}")
+                }
+                other => panic!("expected a parse error at line {line}, got {other:?}"),
+            }
+            assert_eq!(monitor.export_runtime_state(), before, "monitor touched");
+        };
+        // Algorithm 2 flushes W when it reaches k_max (3): a window of
+        // k_max records cannot exist.
+        rejects(forge("w 3", 3), header_line);
+        // The header's count must match its records, both ways.
+        rejects(forge("w 2", 1), header_line);
+        rejects(forge("w 1", 2), header_line + 1 + record_lines);
+        rejects(forge("w 0", 1), header_line + 1);
     }
 
     #[test]

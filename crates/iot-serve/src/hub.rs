@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use causaliot_core::{
-    DeadLetterCounts, DriftReport, FittedModel, IngestGuard, OwnedMonitor, Verdict,
+    DeadLetterCounts, DriftReport, FittedModel, IngestGuard, ObserveCtx, OwnedMonitor, Verdict,
 };
 use iot_fleet::{FleetError, Generation, ModelStore};
 use iot_model::BinaryEvent;
@@ -1406,7 +1406,7 @@ fn recover_home(
         // Replay cannot panic: only events that scored cleanly pre-crash
         // were ever appended.
         out.clear();
-        monitor.observe_batch_into(events, &mut out);
+        monitor.observe_batch_into(events, &ObserveCtx::new(), &mut out);
         if let Some((drift, policy)) = drift.as_mut().zip(adaptation) {
             for (event, verdict) in events.iter().zip(&out) {
                 // Mirror the live path's reset-on-trigger, minus the

@@ -48,8 +48,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use causaliot_core::{
-    DriftConfig, DriftDetector, DriftReport, FittedModel, IngestGuard, OwnedMonitor, StaleSet,
-    Verdict,
+    DriftConfig, DriftDetector, DriftReport, FittedModel, IngestGuard, ObserveCtx, OwnedMonitor,
+    StaleSet, Verdict,
 };
 use iot_model::{BinaryEvent, DeviceId, SystemState, Timestamp};
 use iot_telemetry::{Counter, FlightRecorder, Gauge, Histogram, MonitorReport, TelemetryHandle};
@@ -705,9 +705,9 @@ impl ShardCore {
     /// worker code that calls a monitor.
     ///
     /// With `stale` set, verdicts are scored in degraded mode against it
-    /// (bit-identical to one `observe_degraded` per event); the
-    /// stats-only and scores-only paths ignore it, because confidence is
-    /// visible only in a verdict. With a fault hook attached,
+    /// (bit-identical to one `observe_with` per event under the same
+    /// context); the stats-only and scores-only paths ignore it, because
+    /// confidence is visible only in a verdict. With a fault hook attached,
     /// `before_observe(home, seq)` fires before each event and each event
     /// is its own monitor call, inside the same `catch_unwind`.
     ///
@@ -753,12 +753,10 @@ impl ShardCore {
                 .map(|drift| &mut drift.detector);
             let reports = &mut drift_pending;
             let count = &mut count;
+            let ctx = stale.map_or_else(ObserveCtx::new, ObserveCtx::with_stale);
             let mut score = |batch: &[BinaryEvent]| {
                 if !discard_verdicts {
-                    match stale {
-                        Some(stale) => monitor.observe_batch_degraded_into(batch, stale, out),
-                        None => monitor.observe_batch_into(batch, out),
-                    }
+                    monitor.observe_batch_into(batch, &ctx, out)
                 } else if let Some(detector) = detector.as_deref_mut() {
                     monitor.observe_batch_scores_only(batch, count, &mut |event, score| {
                         if let Some(report) = detector.record(event.device, score) {

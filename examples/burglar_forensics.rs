@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     banner("Run k-sequence detection and reconstruct the traces");
     let registry = profile.registry();
-    let mut monitor = model.monitor_with(k_max, test_initial);
+    let mut monitor = model.into_monitor_with(k_max, test_initial);
     let mut reported = 0usize;
     let mut shown = 0usize;
     let chain_positions: std::collections::HashSet<usize> = injection

@@ -86,7 +86,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(pairs.contains(&(robot, truck)), "Robot -> Truck mined");
 
     banner("Detect command injection: robot dispatched with full shelves");
-    let mut monitor = model.monitor_with(3, iot_model::SystemState::all_off(4));
+    let mut monitor = model
+        .clone()
+        .into_monitor_with(3, iot_model::SystemState::all_off(4));
     let injected = monitor.observe(BinaryEvent::new(
         Timestamp::from_secs(9_000_000),
         robot,

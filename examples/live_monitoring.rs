@@ -88,12 +88,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let registry = profile.registry();
-    let mut monitor = model.monitor_with(1, test_initial);
+    let mut monitor = model.into_monitor_with(1, test_initial);
+    let ctx = ObserveCtx::new();
     let mut alarms = 0usize;
     let mut caught = 0usize;
     for (i, item) in feed.iter().enumerate() {
         let (verdict, device, injected) = match item {
-            Feed::Raw(event) => match monitor.observe_raw(event) {
+            Feed::Raw(event) => match monitor.observe_with(Observation::Raw(event), &ctx) {
                 Ok(verdict) => (verdict, event.device, false),
                 // Duplicate or extreme — counted in the session report.
                 Err(_reason) => continue,

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     banner("3. Monitor runtime events");
     let stove = registry.require("P_stove")?;
-    let mut monitor = model.monitor();
+    let mut monitor = model.clone().into_monitor();
     // Wind the home down to all-off, then ghost-activate the stove.
     let mut t = Timestamp::from_secs(700_000);
     for device in registry.ids() {

@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     banner("A pollution spill at station 2 (no upstream cause)");
-    let mut monitor = model.monitor_with(3, SystemState::all_off(4));
+    let mut monitor = model.clone().into_monitor_with(3, SystemState::all_off(4));
     let spill = monitor.observe(BinaryEvent::new(
         Timestamp::from_secs(5_000_000),
         stations[2],

@@ -32,7 +32,7 @@ fn fitted_home() -> (testbed::HomeProfile, causaliot::pipeline::FittedModel) {
 }
 
 /// Quiets a monitor to the all-OFF state.
-fn quiet(monitor: &mut causaliot::pipeline::Monitor<'_>, registry: &iot_model::DeviceRegistry) {
+fn quiet(monitor: &mut causaliot::OwnedMonitor, registry: &iot_model::DeviceRegistry) {
     let mut t = 500_000u64;
     for device in registry.ids() {
         if monitor.current_state().get(device) {
@@ -49,7 +49,9 @@ fn kmax_one_reports_each_contextual_anomaly_separately() {
     let registry = profile.registry();
     let stove = registry.id_of("P_stove").unwrap();
     let player = registry.id_of("S_player").unwrap();
-    let mut monitor = model.monitor_with(1, SystemState::all_off(registry.len()));
+    let mut monitor = model
+        .clone()
+        .into_monitor_with(1, SystemState::all_off(registry.len()));
     quiet(&mut monitor, registry);
     let v1 = monitor.observe(BinaryEvent::new(Timestamp::from_secs(600_000), stove, true));
     let v2 = monitor.observe(BinaryEvent::new(
@@ -75,14 +77,18 @@ fn collective_alarm_carries_ordinals_and_contexts() {
     let ghost_device = registry
         .ids()
         .find(|&d| {
-            let mut probe = model.monitor_with(1, SystemState::all_off(registry.len()));
+            let mut probe = model
+                .clone()
+                .into_monitor_with(1, SystemState::all_off(registry.len()));
             quiet(&mut probe, registry);
             probe
                 .observe(BinaryEvent::new(Timestamp::from_secs(690_000), d, true))
                 .exceeds_threshold
         })
         .expect("at least one quiet-context ghost must alarm");
-    let mut monitor = model.monitor_with(2, SystemState::all_off(registry.len()));
+    let mut monitor = model
+        .clone()
+        .into_monitor_with(2, SystemState::all_off(registry.len()));
     quiet(&mut monitor, registry);
     // Attacker camouflage: the ghost opens W, a follower either joins it
     // (collective alarm at k_max = 2) or interrupts it (abrupt flush) —

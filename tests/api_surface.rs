@@ -66,7 +66,6 @@ fn prelude_resolves_the_workhorse_types() {
     fn _signatures(
         _: &CausalIot,
         _: &FittedModel,
-        _: &Monitor<'_>,
         _: &OwnedMonitor,
         _: &Verdict,
         _: &Hub,
@@ -129,38 +128,32 @@ fn unified_error_round_trips_every_layer() {
 }
 
 #[test]
+// The whole point is pinning the exact (complex) signatures verbatim.
+#[allow(clippy::type_complexity)]
 fn observation_api_signatures_are_pinned() {
-    use causaliot::{DropReason, Observation, ObserveCtx, OwnedMonitor, StaleSet, Verdict};
-    use iot_model::{BinaryEvent, DeviceEvent};
+    use causaliot::{DropReason, Observation, ObserveCtx, OwnedMonitor, Verdict};
+    use iot_model::BinaryEvent;
 
-    // The canonical entry point every observe variant routes through...
+    // The monitor's five observe entry points: the canonical one...
     let _canonical: fn(
         &mut OwnedMonitor,
         Observation<'_>,
         &ObserveCtx<'_>,
     ) -> Result<Verdict, DropReason> = OwnedMonitor::observe_with;
-    // ...and the four convenience wrappers it subsumes (kept as `#[inline]`
-    // forwarders; callers migrate at their leisure).
+    // ...its binary shorthand...
     let _observe: fn(&mut OwnedMonitor, BinaryEvent) -> Verdict = OwnedMonitor::observe;
-    let _raw: fn(&mut OwnedMonitor, &DeviceEvent) -> Result<Verdict, DropReason> =
-        OwnedMonitor::observe_raw;
-    let _degraded: fn(&mut OwnedMonitor, BinaryEvent, &StaleSet) -> Verdict =
-        OwnedMonitor::observe_degraded;
-    let _raw_degraded: fn(
-        &mut OwnedMonitor,
-        &DeviceEvent,
-        &StaleSet,
-    ) -> Result<Verdict, DropReason> = OwnedMonitor::observe_raw_degraded;
-
-    // The batched fast path and its accumulator forms.
-    let _batch: for<'m> fn(&'m mut OwnedMonitor, &[BinaryEvent]) -> &'m [Verdict] =
-        OwnedMonitor::observe_batch;
-    let _batch_into: fn(&mut OwnedMonitor, &[BinaryEvent], &mut Vec<Verdict>) =
+    // ...the batched verdict path, under the same context...
+    let _batch_into: fn(&mut OwnedMonitor, &[BinaryEvent], &ObserveCtx<'_>, &mut Vec<Verdict>) =
         OwnedMonitor::observe_batch_into;
-    let _batch_degraded: fn(&mut OwnedMonitor, &[BinaryEvent], &StaleSet, &mut Vec<Verdict>) =
-        OwnedMonitor::observe_batch_degraded_into;
+    // ...and the two verdict-free batch paths.
     let _batch_stats_only: fn(&mut OwnedMonitor, &[BinaryEvent], &mut usize) =
         OwnedMonitor::observe_batch_stats_only;
+    let _batch_scores_only: fn(
+        &mut OwnedMonitor,
+        &[BinaryEvent],
+        &mut usize,
+        &mut dyn FnMut(BinaryEvent, f64),
+    ) = OwnedMonitor::observe_batch_scores_only;
 
     // Hub batch submission borrows the events and reports partial
     // acceptance instead of consuming a Vec.

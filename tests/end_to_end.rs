@@ -1,6 +1,6 @@
 //! End-to-end integration: simulate → inject rules → fit → monitor.
 
-use causaliot::pipeline::CausalIot;
+use causaliot::pipeline::{CausalIot, Observation, ObserveCtx};
 use integration_tests::{assert_in_range, TEST_SEED};
 use iot_model::BinaryEvent;
 use testbed::{contextact_profile, generate_rules, inject_automation, simulate, SimConfig};
@@ -31,11 +31,12 @@ fn full_pipeline_from_raw_log_to_alarm() {
 
     // The monitor consumes the raw test log without panicking and keeps
     // its state machine in sync.
-    let mut monitor = model.monitor();
+    let mut monitor = model.into_monitor();
     let mut processed = 0;
     let mut alarms = 0;
+    let ctx = ObserveCtx::new();
     for event in &test {
-        if let Ok(verdict) = monitor.observe_raw(event) {
+        if let Ok(verdict) = monitor.observe_with(Observation::Raw(event), &ctx) {
             processed += 1;
             alarms += verdict.alarms.len();
         }
@@ -69,7 +70,7 @@ fn ghost_event_raises_alarm_on_fitted_home() {
         .expect("fit succeeds");
     let registry = profile.registry();
     let stove = registry.id_of("P_stove").unwrap();
-    let mut monitor = model.monitor();
+    let mut monitor = model.into_monitor();
     // Quiet the home: every device off (normal wind-down events), then
     // ghost-activate the stove with nobody in the kitchen.
     let mut t = 90_000u64;

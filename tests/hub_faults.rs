@@ -730,8 +730,8 @@ fn submission_plan(rng: &mut StdRng, len: usize) -> Vec<std::ops::Range<usize>> 
 }
 
 /// One event at a time through an ingest guard: every release is scored
-/// with `observe_degraded` against the stale set of the offer that
-/// released it, and the end-of-stream flush against the final set.
+/// with `observe_with` against the stale set of the offer that released
+/// it, and the end-of-stream flush against the final set.
 struct GuardedReference {
     /// One verdict per release, in release (= per-home seq) order.
     verdicts: Vec<Verdict>,
@@ -759,10 +759,12 @@ fn guarded_reference(
     };
     let mut last_stale = guard.stale_set();
     let mut score = |ready: Vec<BinaryEvent>, stale: &causaliot::StaleSet, at: usize| {
+        let ctx = causaliot::ObserveCtx::with_stale(stale);
         for event in ready {
+            let verdict = monitor.observe_with(event.into(), &ctx);
             reference
                 .verdicts
-                .push(monitor.observe_degraded(event, stale));
+                .push(verdict.expect("binary observations are always scored"));
             reference.released.push(event);
             reference.offer_of.push(at);
         }

@@ -613,10 +613,12 @@ fn live_stream(rng: &mut StdRng, devices: usize, len: usize) -> Vec<BinaryEvent>
         .collect()
 }
 
-/// `observe_batch` is bit-identical to N sequential `observe` calls for
-/// ANY split of the stream into batches (sizes 1..=64), including
-/// degraded segments scored against a random [`causaliot::StaleSet`].
-/// This is the contract the hub's burst fast path rests on.
+/// `observe_batch_into` is bit-identical to N sequential `observe_with`
+/// calls for ANY split of the stream into batches (sizes 1..=64),
+/// including degraded segments scored against a random
+/// [`causaliot::StaleSet`]; the verdict-free paths keep the same counters,
+/// and the scores-only path surfaces the same scores. This is the
+/// contract the hub's burst fast path rests on.
 #[test]
 fn observe_batch_matches_sequential_for_any_split() {
     let mut rng = StdRng::seed_from_u64(0xBA7C4);
@@ -636,14 +638,21 @@ fn observe_batch_matches_sequential_for_any_split() {
         // the verdict-producing ones over the same splits.
         let mut stats_only = model.clone().into_monitor();
         let mut stats_scored = 0usize;
+        // The scores-only path (the one drift rides) must surface the
+        // sequential scores, bit for bit, and keep the same counters.
+        let mut scores_only = model.clone().into_monitor();
+        let mut scores_scored = 0usize;
+        let mut scores: Vec<f64> = Vec::with_capacity(stream.len());
         let mut expected: Vec<causaliot::Verdict> = Vec::with_capacity(stream.len());
         let mut got: Vec<causaliot::Verdict> = Vec::with_capacity(stream.len());
-        let mut scratch = Vec::new();
         let mut offset = 0usize;
         while offset < stream.len() {
             let size = rng.gen_range(1usize..=64).min(stream.len() - offset);
             let segment = &stream[offset..offset + size];
             stats_only.observe_batch_stats_only(segment, &mut stats_scored);
+            scores_only.observe_batch_scores_only(segment, &mut scores_scored, &mut |_, score| {
+                scores.push(score)
+            });
             if rng.gen_bool(0.35) {
                 // Degraded segment: some devices are stale, confidence
                 // discounts must match event for event.
@@ -653,17 +662,16 @@ fn observe_batch_matches_sequential_for_any_split() {
                         stale.mark(DeviceId::from_index(d));
                     }
                 }
+                let ctx = causaliot::ObserveCtx::with_stale(&stale);
                 for event in segment {
-                    expected.push(sequential.observe_degraded(*event, &stale));
+                    expected.push(sequential.observe_with((*event).into(), &ctx).unwrap());
                 }
-                scratch.clear();
-                batched.observe_batch_degraded_into(segment, &stale, &mut scratch);
-                got.extend(scratch.iter().cloned());
+                batched.observe_batch_into(segment, &ctx, &mut got);
             } else {
                 for event in segment {
                     expected.push(sequential.observe(*event));
                 }
-                got.extend(batched.observe_batch(segment).iter().cloned());
+                batched.observe_batch_into(segment, &causaliot::ObserveCtx::new(), &mut got);
             }
             offset += size;
         }
@@ -709,6 +717,37 @@ fn observe_batch_matches_sequential_for_any_split() {
             stats_only.tracking_len(),
             sequential.tracking_len(),
             "case {case}: stats-only tracking window length diverged"
+        );
+        assert_eq!(scores_scored, stream.len(), "case {case}");
+        assert_eq!(scores.len(), expected.len(), "case {case}");
+        for (i, (s, e)) in scores.iter().zip(expected.iter()).enumerate() {
+            assert_eq!(
+                s.to_bits(),
+                e.score.to_bits(),
+                "case {case} event {i}: scores-only score diverged"
+            );
+        }
+        let scores_report = scores_only.report();
+        assert_eq!(
+            scores_report.events_observed, expected_report.events_observed,
+            "case {case}: scores-only event count diverged"
+        );
+        assert_eq!(
+            scores_report.contextual_alarms, expected_report.contextual_alarms,
+            "case {case}: scores-only contextual alarms diverged"
+        );
+        assert_eq!(
+            scores_report.collective_alarms, expected_report.collective_alarms,
+            "case {case}: scores-only collective alarms diverged"
+        );
+        assert_eq!(
+            scores_report.max_tracking_len, expected_report.max_tracking_len,
+            "case {case}: scores-only max tracking length diverged"
+        );
+        assert_eq!(
+            scores_only.tracking_len(),
+            sequential.tracking_len(),
+            "case {case}: scores-only tracking window length diverged"
         );
     }
 }

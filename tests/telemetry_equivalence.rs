@@ -3,7 +3,7 @@
 //! enabled handle and require bit-identical results, and check that the
 //! always-on fit report is populated either way.
 
-use causaliot::pipeline::{CausalIot, DropReason};
+use causaliot::pipeline::{CausalIot, DropReason, Observation, ObserveCtx};
 use iot_model::{
     Attribute, BinaryEvent, DeviceEvent, DeviceRegistry, EventLog, Room, StateValue, Timestamp,
 };
@@ -73,8 +73,8 @@ fn verdicts_are_bit_identical_with_and_without_telemetry() {
 
     // Replaying a fresh stream gives bit-identical verdicts.
     let replay = training_events(&reg, 150);
-    let mut mon_off = model_off.monitor();
-    let mut mon_on = model_on.monitor();
+    let mut mon_off = model_off.into_monitor();
+    let mut mon_on = model_on.into_monitor();
     for &event in &replay {
         let v_off = mon_off.observe(event);
         let v_on = mon_on.observe(event);
@@ -220,26 +220,33 @@ fn raw_monitoring_reports_drop_reasons_and_counts() {
     );
     assert!(telemetry.counter("mining.ci_tests").get() > 0);
 
-    let mut monitor = model.monitor();
+    let mut monitor = model.into_monitor();
     let current = monitor.current_state().get(lamp);
     let dup = DeviceEvent::new(
         Timestamp::from_secs(50_000),
         lamp,
         StateValue::Binary(current),
     );
-    assert_eq!(monitor.observe_raw(&dup), Err(DropReason::Duplicate));
+    let ctx = ObserveCtx::new();
+    assert_eq!(
+        monitor.observe_with(Observation::Raw(&dup), &ctx),
+        Err(DropReason::Duplicate)
+    );
     let flip = DeviceEvent::new(
         Timestamp::from_secs(50_001),
         lamp,
         StateValue::Binary(!current),
     );
-    assert!(monitor.observe_raw(&flip).is_ok());
+    assert!(monitor.observe_with(Observation::Raw(&flip), &ctx).is_ok());
     let nan = DeviceEvent::new(
         Timestamp::from_secs(50_002),
         lamp,
         StateValue::Numeric(f64::NAN),
     );
-    assert_eq!(monitor.observe_raw(&nan), Err(DropReason::NonFinite));
+    assert_eq!(
+        monitor.observe_with(Observation::Raw(&nan), &ctx),
+        Err(DropReason::NonFinite)
+    );
     let report = monitor.report();
     assert_eq!(report.dropped_duplicate, 1);
     assert_eq!(report.dropped_non_finite, 1);
