@@ -20,6 +20,6 @@ mod var;
 pub use cpt::{Cpt, UnseenContext};
 pub use dig::{Dig, Interaction};
 pub use dot::render_dot;
-pub(crate) use persist::load_dig_with_smoothing;
+pub(crate) use persist::read_dig;
 pub use persist::{load_dig, save_dig};
 pub use var::LaggedVar;

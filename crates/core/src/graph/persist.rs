@@ -26,9 +26,15 @@ use std::fmt::Write as _;
 use iot_model::DeviceId;
 
 use super::{Cpt, Dig, LaggedVar};
+use crate::persist::LineReader;
 use crate::CausalIotError;
 
 const MAGIC: &str = "causaliot-dig v1";
+/// The largest τ a document may declare: a monitor keeps `τ + 1` states
+/// per device, and the paper's τ rule picks from `1..=8` by default.
+const MAX_TAU: usize = 1024;
+/// The most causes a device may have: a dense CPT holds `2^causes` rows.
+const MAX_CAUSES: usize = 24;
 
 /// Serialises a DIG and its calibrated threshold.
 pub fn save_dig(dig: &Dig, threshold: f64) -> String {
@@ -56,13 +62,6 @@ pub fn save_dig(dig: &Dig, threshold: f64) -> String {
     out
 }
 
-fn parse_err(line: usize, reason: impl Into<String>) -> CausalIotError {
-    CausalIotError::Model(iot_model::ModelError::ParseLog {
-        line,
-        reason: reason.into(),
-    })
-}
-
 /// Restores a DIG and threshold from [`save_dig`] output.
 ///
 /// # Errors
@@ -70,122 +69,104 @@ fn parse_err(line: usize, reason: impl Into<String>) -> CausalIotError {
 /// Returns an error for wrong magic, malformed lines, or inconsistent
 /// indices.
 pub fn load_dig(text: &str) -> Result<(Dig, f64), CausalIotError> {
-    load_dig_with_smoothing(text, 0.0)
+    read_dig(&mut LineReader::new(text), 0.0, None)
 }
 
-/// Like [`load_dig`], restoring CPTs with the given Laplace smoothing
-/// pseudo-count (the format carries raw counts only; a full-model
-/// checkpoint re-applies its configured smoothing on load).
-pub(crate) fn load_dig_with_smoothing(
-    text: &str,
+/// Reads a DIG document from `reader` through the end of its text,
+/// restoring CPTs with the given Laplace smoothing pseudo-count (the
+/// format carries raw counts only; a full-model checkpoint re-applies its
+/// configured smoothing on load). A checkpoint passes the device count
+/// it declares as `devices`, which the DIG must cover. Every record
+/// [`Dig::new`] would refuse is refused here first, naming its line.
+pub(crate) fn read_dig(
+    reader: &mut LineReader<'_>,
     smoothing: f64,
+    devices: Option<usize>,
 ) -> Result<(Dig, f64), CausalIotError> {
-    let mut lines = text.lines().enumerate();
-    let (_, magic) = lines
-        .next()
-        .ok_or_else(|| parse_err(1, "empty model file"))?;
-    let magic = magic.trim();
-    if magic != MAGIC {
-        if let Some(version) = magic.strip_prefix("causaliot-dig ") {
-            return Err(parse_err(
-                1,
-                format!("unsupported version `{version}` (this build reads v1)"),
-            ));
-        }
-        return Err(parse_err(1, format!("bad magic `{magic}`")));
-    }
+    reader.magic(MAGIC)?;
     let mut tau: Option<usize> = None;
     let mut num_devices: Option<usize> = None;
     let mut threshold: Option<f64> = None;
     let mut causes: Vec<Vec<LaggedVar>> = Vec::new();
     let mut cpts: Vec<Cpt> = Vec::new();
 
-    for (idx, raw) in lines {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let key = parts.next().expect("non-empty line");
-        match key {
+    while let Some(mut record) = reader.next_record() {
+        match record.tag() {
             "tau" => {
-                tau = Some(
-                    parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| parse_err(line_no, "bad tau"))?,
-                );
+                if tau.is_some() {
+                    return Err(record.error("duplicate tau record"));
+                }
+                let t = record.num("tau")?;
+                if t > MAX_TAU {
+                    return Err(record.error(format!("tau {t} exceeds {MAX_TAU}")));
+                }
+                tau = Some(t);
             }
             "devices" => {
-                let n: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| parse_err(line_no, "bad device count"))?;
+                if num_devices.is_some() {
+                    return Err(record.error("duplicate devices record"));
+                }
+                let n = record.count("device count")?;
+                if let Some(declared) = devices.filter(|&declared| declared != n) {
+                    return Err(record.error(format!(
+                        "dig covers {n} devices, the checkpoint declares {declared}"
+                    )));
+                }
                 num_devices = Some(n);
-                causes = vec![Vec::new(); n];
-                cpts = Vec::with_capacity(n);
             }
-            "threshold" => {
-                threshold = Some(
-                    parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| parse_err(line_no, "bad threshold"))?,
-                );
-            }
+            "threshold" => threshold = Some(record.num("threshold")?),
             "causes" => {
-                let device: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| parse_err(line_no, "bad outcome device"))?;
-                let n = num_devices.ok_or_else(|| parse_err(line_no, "causes before devices"))?;
+                let device: usize = record.num("outcome device")?;
+                let n = num_devices.ok_or_else(|| record.error("causes before devices"))?;
+                let tau = tau.ok_or_else(|| record.error("causes before tau"))?;
                 if device != cpts.len() || device >= n {
-                    return Err(parse_err(line_no, "causes lines out of order"));
+                    return Err(record.error("causes lines out of order"));
                 }
                 let mut cause_list = Vec::new();
-                for pair in parts {
+                for pair in record.rest() {
                     let (dev, lag) = pair
                         .split_once(':')
-                        .ok_or_else(|| parse_err(line_no, "bad cause pair"))?;
-                    let dev: usize = dev
-                        .parse()
-                        .map_err(|_| parse_err(line_no, "bad cause device"))?;
-                    let lag: usize = lag
-                        .parse()
-                        .map_err(|_| parse_err(line_no, "bad cause lag"))?;
+                        .ok_or_else(|| record.error("bad cause pair"))?;
+                    let dev: usize = record.parse(dev, "cause device")?;
+                    let lag: usize = record.parse(lag, "cause lag")?;
+                    if dev >= n || !(1..=tau).contains(&lag) {
+                        return Err(record.error(format!("cause {dev}:{lag} out of range")));
+                    }
+                    if cause_list.len() == MAX_CAUSES {
+                        return Err(record.error(format!("more than {MAX_CAUSES} causes")));
+                    }
                     cause_list.push(LaggedVar::new(DeviceId::from_index(dev), lag));
                 }
                 cpts.push(Cpt::new(cause_list.clone(), smoothing));
-                causes[device] = cause_list;
+                causes.push(cause_list);
             }
             "cpt" => {
-                let mut next_num = |what: &str| -> Result<u64, CausalIotError> {
-                    parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| parse_err(line_no, format!("bad {what}")))
-                };
-                let device = next_num("device")? as usize;
-                let code = next_num("context code")? as usize;
-                let off = next_num("off-count")?;
-                let on = next_num("on-count")?;
+                let device: usize = record.num("device")?;
+                let code: usize = record.num("context code")?;
+                let off: u64 = record.num("off-count")?;
+                let on: u64 = record.num("on-count")?;
                 let cpt = cpts
                     .get_mut(device)
-                    .ok_or_else(|| parse_err(line_no, "cpt before its causes line"))?;
+                    .ok_or_else(|| record.error("cpt before its causes line"))?;
                 if code >= cpt.num_contexts() {
-                    return Err(parse_err(line_no, "context code out of range"));
+                    return Err(record.error("context code out of range"));
                 }
+                // Every sum of counts the scorer forms must fit in a u64.
+                (cpt.total_count() - cpt.context_count(code))
+                    .checked_add(off)
+                    .and_then(|total| total.checked_add(on))
+                    .ok_or_else(|| record.error("cpt counts overflow"))?;
                 cpt.restore(code, [off, on]);
             }
-            other => return Err(parse_err(line_no, format!("unknown record `{other}`"))),
+            other => return Err(record.error(format!("unknown record `{other}`"))),
         }
+        record.done()?;
     }
-    let tau = tau.ok_or_else(|| parse_err(0, "missing tau"))?;
-    let n = num_devices.ok_or_else(|| parse_err(0, "missing devices"))?;
-    let threshold = threshold.ok_or_else(|| parse_err(0, "missing threshold"))?;
+    let tau = tau.ok_or_else(|| reader.missing("tau"))?;
+    let n = num_devices.ok_or_else(|| reader.missing("devices"))?;
+    let threshold = threshold.ok_or_else(|| reader.missing("threshold"))?;
     if cpts.len() != n {
-        return Err(parse_err(0, "missing causes lines for some devices"));
+        return Err(reader.missing("causes lines for some devices"));
     }
     Ok((Dig::new(tau, causes, cpts), threshold))
 }
@@ -282,6 +263,40 @@ mod tests {
         assert_eq!(first, second, "load→save→load must be byte-stable");
         let (_, third_threshold) = load_dig(&second).expect("parses");
         assert_eq!(third_threshold.to_bits(), threshold.to_bits());
+    }
+
+    /// The line a rejected document's error names.
+    fn rejected_line(text: &str) -> usize {
+        match load_dig(text) {
+            Err(CausalIotError::Model(iot_model::ModelError::ParseLog { line, .. })) => line,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    const HEAD: &str = "causaliot-dig v1\ntau 2\ndevices 2\nthreshold 0.5\n";
+
+    #[test]
+    fn out_of_range_cause_device_names_its_line() {
+        assert_eq!(rejected_line(&format!("{HEAD}causes 0 7:1\ncauses 1\n")), 5);
+    }
+
+    #[test]
+    fn zero_cause_lag_names_its_line() {
+        assert_eq!(rejected_line(&format!("{HEAD}causes 0 1:0\ncauses 1\n")), 5);
+    }
+
+    #[test]
+    fn cause_lag_beyond_tau_names_its_line() {
+        assert_eq!(rejected_line(&format!("{HEAD}causes 0 1:3\ncauses 1\n")), 5);
+    }
+
+    #[test]
+    fn oversized_cause_set_names_its_line() {
+        let pairs = vec!["1:1"; MAX_CAUSES + 1].join(" ");
+        assert_eq!(
+            rejected_line(&format!("{HEAD}causes 0 {pairs}\ncauses 1\n")),
+            5
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl MinerConfig {
     /// # Errors
     ///
     /// Returns [`crate::CausalIotError::InvalidConfig`] when α is outside
-    /// `(0, 1)` or smoothing is negative.
+    /// `(0, 1)` or smoothing is negative or NaN.
     pub fn validate(&self) -> Result<(), crate::CausalIotError> {
         self.check().map_err(Into::into)
     }
@@ -62,7 +62,7 @@ impl MinerConfig {
                 format!("must be in (0, 1), got {}", self.alpha),
             ));
         }
-        if self.smoothing < 0.0 {
+        if self.smoothing.is_nan() || self.smoothing < 0.0 {
             return Err(crate::ConfigError::new("smoothing", "must be non-negative"));
         }
         Ok(())

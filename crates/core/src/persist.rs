@@ -8,10 +8,26 @@
 //! serving hub's write-ahead log and runtime-state snapshots in
 //! `iot-serve` — share one implementation and stay byte-compatible with
 //! the checkpoint format instead of growing divergent copies.
+//!
+//! It also hosts the one reader every line-oriented text format here is
+//! decoded with ([`LineReader`]: `causaliot-dig v1`, `causaliot-model v2`,
+//! `causaliot-runtime v1`, `causaliot-hub-snapshot v1`), and the one
+//! layout of an anomalous event with its causes that the runtime-state
+//! and hub-snapshot formats share ([`write_anomalous_event`] /
+//! [`read_anomalous_event`]).
 
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::{self, Write as _};
+use std::ops::RangeInclusive;
 use std::path::Path;
+use std::str::{FromStr, SplitAsciiWhitespace};
+
+use iot_model::{BinaryEvent, DeviceId, SystemState, Timestamp};
+
+use crate::graph::LaggedVar;
+use crate::monitor::AnomalousEvent;
+use crate::CausalIotError;
 
 /// Comment prefix of the checksum footer appended to footered documents
 /// (`# crc32 <8 hex digits>`). Line-oriented parsers that skip comment
@@ -66,7 +82,6 @@ pub fn find_crc_footer(text: &str) -> Option<usize> {
 /// `text` (which must end with a newline, as every line-oriented writer
 /// here guarantees).
 pub fn append_crc_footer(text: &mut String) {
-    use std::fmt::Write as _;
     let checksum = crc32(text.as_bytes());
     let _ = writeln!(text, "{CRC_FOOTER_PREFIX}{checksum:08x}");
 }
@@ -112,6 +127,337 @@ pub fn write_atomic_via(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()>
     })();
     write.inspect_err(|_| {
         let _ = fs::remove_file(tmp);
+    })
+}
+
+/// Appends `state` as one `0`/`1` digit per device.
+pub fn push_bits(out: &mut String, state: &SystemState) {
+    out.extend(state.values().iter().map(|&on| if on { '1' } else { '0' }));
+}
+
+/// A decode failure at the record on `line` (1-based; 0 when the document
+/// ended before a required record), which starts at byte `offset`.
+fn decode_error(line: usize, offset: usize, reason: impl fmt::Display) -> CausalIotError {
+    CausalIotError::Model(iot_model::ModelError::ParseLog {
+        line,
+        reason: format!("{reason} (byte {offset})"),
+    })
+}
+
+/// A cursor over a line document, under the lexical rules every text
+/// format here shares:
+///
+/// * the first line is the document's magic (`<family> <version>`); no
+///   blank or comment line may precede it;
+/// * after it, blank lines and lines starting with `#` are skipped (the
+///   CRC footer is such a comment);
+/// * every other line is one [`Record`]: a tag followed by fields
+///   separated by ASCII whitespace, surrounding ASCII whitespace ignored.
+///
+/// An embedded document (a DIG inside a checkpoint) is read on with the
+/// same cursor, so every error names its line in the whole document.
+/// Failures are [`ParseLog`](iot_model::ModelError::ParseLog) errors
+/// whose reason ends with the byte offset of the line's start.
+#[derive(Debug, Clone)]
+pub struct LineReader<'t> {
+    text: &'t str,
+    /// Byte offset of the first unread line.
+    pos: usize,
+    /// Number of lines consumed so far.
+    line: usize,
+}
+
+impl<'t> LineReader<'t> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'t str) -> Self {
+        LineReader {
+            text,
+            pos: 0,
+            line: 0,
+        }
+    }
+
+    /// Byte offset of the first line not yet read.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// The next line, trimmed, with the offset it starts at.
+    #[inline]
+    fn next_line(&mut self) -> Option<(&'t str, usize)> {
+        let start = self.pos;
+        let rest = self.text.get(start..).filter(|rest| !rest.is_empty())?;
+        let len = rest.find('\n').map_or(rest.len(), |i| i + 1);
+        self.pos += len;
+        self.line += 1;
+        Some((rest[..len].trim_ascii(), start))
+    }
+
+    /// Consumes the next line, which must be exactly `magic`. A line of
+    /// the same family (the text before the first space) reports its
+    /// version as unsupported.
+    ///
+    /// # Errors
+    ///
+    /// A [`CausalIotError`] naming the line.
+    pub fn magic(&mut self, magic: &str) -> Result<(), CausalIotError> {
+        let (found, offset) = self
+            .next_line()
+            .ok_or_else(|| self.missing(format!("`{magic}` header")))?;
+        if found == magic {
+            return Ok(());
+        }
+        let (family, expected) = magic.split_once(' ').unwrap_or((magic, ""));
+        let reason = match found.strip_prefix(family).and_then(|v| v.strip_prefix(' ')) {
+            Some(version) => {
+                format!("unsupported version `{version}` (this build reads {expected})")
+            }
+            None => format!("bad magic `{found}`"),
+        };
+        Err(decode_error(self.line, offset, reason))
+    }
+
+    /// The next record, skipping blank and comment lines; `None` at the
+    /// end of the document.
+    #[inline]
+    pub fn next_record(&mut self) -> Option<Record<'t>> {
+        while let Some((line, offset)) = self.next_line() {
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let mut fields = line.split_ascii_whitespace();
+            return Some(Record {
+                tag: fields.next().unwrap_or_default(),
+                fields,
+                line: self.line,
+                offset,
+                left: self.text.len() - self.pos,
+            });
+        }
+        None
+    }
+
+    /// The next record, which must be tagged `tag`.
+    ///
+    /// # Errors
+    ///
+    /// A [`CausalIotError`] naming the record found instead, or the end of
+    /// the document.
+    #[inline]
+    pub fn expect(&mut self, tag: &str) -> Result<Record<'t>, CausalIotError> {
+        let record = self
+            .next_record()
+            .ok_or_else(|| self.missing(format!("`{tag}` record")))?;
+        if record.tag != tag {
+            return Err(record.error(format!("expected `{tag}`, found `{}`", record.tag)));
+        }
+        Ok(record)
+    }
+
+    /// The error for `what`, required but absent when the document ends:
+    /// line 0 at the document's length.
+    pub fn missing(&self, what: impl fmt::Display) -> CausalIotError {
+        decode_error(0, self.text.len(), format_args!("missing {what}"))
+    }
+}
+
+/// One record of a [`LineReader`] document: its tag and a cursor over its
+/// fields. Each typed accessor consumes the next field and fails, naming
+/// the record's line, when that field is missing or malformed;
+/// [`Record::done`] rejects any field left over.
+#[derive(Debug, Clone)]
+pub struct Record<'t> {
+    tag: &'t str,
+    fields: SplitAsciiWhitespace<'t>,
+    line: usize,
+    offset: usize,
+    /// Bytes of the document after this record's line.
+    left: usize,
+}
+
+impl<'t> Record<'t> {
+    /// The record's tag (its first token).
+    #[inline]
+    pub fn tag(&self) -> &'t str {
+        self.tag
+    }
+
+    /// An error naming this record's line.
+    pub fn error(&self, reason: impl fmt::Display) -> CausalIotError {
+        decode_error(self.line, self.offset, reason)
+    }
+
+    /// The next field, verbatim.
+    #[inline]
+    pub(crate) fn word(&mut self, what: &str) -> Result<&'t str, CausalIotError> {
+        self.fields
+            .next()
+            .ok_or_else(|| self.error(format!("missing {what}")))
+    }
+
+    /// Parses `token`, a field of this record.
+    #[inline]
+    pub(crate) fn parse<T: FromStr>(&self, token: &str, what: &str) -> Result<T, CausalIotError> {
+        token
+            .parse()
+            .map_err(|_| self.error(format!("bad {what} `{token}`")))
+    }
+
+    /// The next field as a number (any integer type, or `f64`).
+    #[inline]
+    pub fn num<T: FromStr>(&mut self, what: &str) -> Result<T, CausalIotError> {
+        let token = self.word(what)?;
+        self.parse(token, what)
+    }
+
+    /// The next field as a running counter: a `u64` no larger than
+    /// `i64::MAX`, so whatever restores it can count on without
+    /// overflowing.
+    #[inline]
+    pub fn counter(&mut self, what: &str) -> Result<u64, CausalIotError> {
+        let value: i64 = self.num(what)?;
+        u64::try_from(value).map_err(|_| self.error(format!("negative {what}")))
+    }
+
+    /// The next field as the number of items the rest of the document
+    /// holds. Every item takes at least one byte, so a count above the
+    /// bytes left is refused: no declared count allocates more than the
+    /// document can describe.
+    #[inline]
+    pub fn count(&mut self, what: &str) -> Result<usize, CausalIotError> {
+        let count = self.num(what)?;
+        if count > self.left {
+            return Err(self.error(format!(
+                "{what} {count} exceeds the {} bytes left",
+                self.left
+            )));
+        }
+        Ok(count)
+    }
+
+    /// The next field as the index of one of `devices` devices.
+    #[inline]
+    pub fn device(&mut self, devices: usize, what: &str) -> Result<DeviceId, CausalIotError> {
+        let device: u32 = self.num(what)?;
+        if device as usize >= devices {
+            return Err(self.error(format!("{what} {device} out of range")));
+        }
+        Ok(DeviceId::from_index(device as usize))
+    }
+
+    /// The next field as a `0`/`1` bit.
+    #[inline]
+    pub fn bit(&mut self, what: &str) -> Result<bool, CausalIotError> {
+        match self.word(what)? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            other => Err(self.error(format!("{what} must be 0 or 1, got `{other}`"))),
+        }
+    }
+
+    /// The next field as `true`/`false`.
+    pub(crate) fn flag(&mut self, what: &str) -> Result<bool, CausalIotError> {
+        let token = self.word(what)?;
+        self.parse(token, what)
+    }
+
+    /// The next field as a system state of exactly `len` `0`/`1` digits
+    /// (the [`push_bits`] layout).
+    pub fn bits(&mut self, len: usize, what: &str) -> Result<SystemState, CausalIotError> {
+        let token = self.word(what)?;
+        if token.len() != len || !token.bytes().all(|b| b == b'0' || b == b'1') {
+            return Err(self.error(format!("{what} must be {len} 0/1 digits")));
+        }
+        Ok(SystemState::from_values(
+            token.bytes().map(|b| b == b'1').collect(),
+        ))
+    }
+
+    /// Every field left, verbatim; the record is then exhausted.
+    pub(crate) fn rest(&mut self) -> SplitAsciiWhitespace<'t> {
+        std::mem::replace(&mut self.fields, "".split_ascii_whitespace())
+    }
+
+    /// Ends the record: a field left over is an error.
+    #[inline]
+    pub fn done(mut self) -> Result<(), CausalIotError> {
+        match self.fields.next() {
+            None => Ok(()),
+            Some(_) => Err(self.error(format!("trailing fields on `{}`", self.tag))),
+        }
+    }
+}
+
+/// Writes `event` as one `<event_tag> ordinal millis device value score
+/// #causes` line followed by one `<cause_tag> device lag value` line per
+/// cause — the layout the runtime-state tracking window (`w.event` /
+/// `w.cause`) and the hub snapshot's verdict history (`e` / `c`) share.
+pub fn write_anomalous_event(
+    out: &mut String,
+    event_tag: &str,
+    cause_tag: &str,
+    event: &AnomalousEvent,
+) {
+    let _ = writeln!(
+        out,
+        "{event_tag} {} {} {} {} {:?} {}",
+        event.ordinal,
+        event.event.time.as_millis(),
+        event.event.device.index(),
+        event.event.value as u8,
+        event.score,
+        event.cause_values.len()
+    );
+    for &(cause, value) in &event.cause_values {
+        let _ = writeln!(
+            out,
+            "{cause_tag} {} {} {}",
+            cause.device.index(),
+            cause.lag,
+            value as u8
+        );
+    }
+}
+
+/// Reads back what [`write_anomalous_event`] wrote: `record` is the
+/// event record (its tag already matched), and its causes follow in
+/// `reader` as `cause_tag` records. Every device must be below `devices`
+/// and every cause lag within `lags`.
+///
+/// # Errors
+///
+/// A [`CausalIotError`] naming the first line that breaks the layout.
+pub fn read_anomalous_event(
+    reader: &mut LineReader<'_>,
+    mut record: Record<'_>,
+    cause_tag: &str,
+    devices: usize,
+    lags: RangeInclusive<usize>,
+) -> Result<AnomalousEvent, CausalIotError> {
+    let ordinal = record.num("ordinal")?;
+    let millis = record.num("timestamp")?;
+    let device = record.device(devices, "device")?;
+    let value = record.bit("value")?;
+    let score = record.num("score")?;
+    let causes = record.count("cause count")?;
+    record.done()?;
+    let mut cause_values = Vec::with_capacity(causes);
+    for _ in 0..causes {
+        let mut cause = reader.expect(cause_tag)?;
+        let device = cause.device(devices, "cause device")?;
+        let lag = cause.num("cause lag")?;
+        if !lags.contains(&lag) {
+            return Err(cause.error(format!("cause lag {lag} outside {lags:?}")));
+        }
+        let value = cause.bit("cause value")?;
+        cause.done()?;
+        cause_values.push((LaggedVar::new(device, lag), value));
+    }
+    Ok(AnomalousEvent {
+        ordinal,
+        event: BinaryEvent::new(Timestamp::from_millis(millis), device, value),
+        cause_values,
+        score,
     })
 }
 

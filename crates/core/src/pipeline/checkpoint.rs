@@ -73,8 +73,10 @@ use iot_stats::jenks::JenksBinarizer;
 use iot_stats::threesigma::ThreeSigmaBand;
 use iot_telemetry::{FitReport, TelemetryHandle};
 
-use crate::graph::{load_dig, load_dig_with_smoothing, save_dig, UnseenContext};
-use crate::persist::{crc32, find_crc_footer, write_atomic, CRC_FOOTER_PREFIX};
+use crate::graph::{read_dig, save_dig, UnseenContext};
+use crate::persist::{
+    crc32, find_crc_footer, push_bits, write_atomic, LineReader, CRC_FOOTER_PREFIX,
+};
 use crate::pipeline::decoded::decode_shared;
 use crate::pipeline::{CausalIotConfig, FittedModel, TauChoice};
 use crate::preprocess::{DeviceBinarizer, FittedPreprocessor, FittedSanitizer, FittedUnifier};
@@ -141,13 +143,9 @@ pub fn save_model(model: &FittedModel) -> String {
     };
     let _ = writeln!(out, "config.miner.ci_test {ci_test}");
     let _ = writeln!(out, "devices {}", model.num_devices());
-    let bits: String = model
-        .final_train_state()
-        .values()
-        .iter()
-        .map(|&on| if on { '1' } else { '0' })
-        .collect();
-    let _ = writeln!(out, "state {bits}");
+    out.push_str("state ");
+    push_bits(&mut out, model.final_train_state());
+    out.push('\n');
     match model.preprocessor() {
         None => {
             let _ = writeln!(out, "preprocessor absent");
@@ -188,13 +186,6 @@ pub fn save_model(model: &FittedModel) -> String {
     let _ = writeln!(out, "{DIG_SENTINEL}");
     out.push_str(&save_dig(model.dig(), model.threshold()));
     out
-}
-
-fn parse_err(line: usize, reason: impl Into<String>) -> CausalIotError {
-    CausalIotError::Model(iot_model::ModelError::ParseLog {
-        line,
-        reason: reason.into(),
-    })
 }
 
 /// CRC32 content hash of a serialised checkpoint document — exactly the
@@ -345,19 +336,11 @@ pub fn load_model(text: &str, telemetry: &TelemetryHandle) -> Result<FittedModel
 }
 
 fn parse_model(text: &str, telemetry: &TelemetryHandle) -> Result<FittedModel, CausalIotError> {
-    let magic = text.lines().next().unwrap_or("").trim();
-    if magic.starts_with("causaliot-dig") {
+    if text.trim_start().starts_with("causaliot-dig") {
         return load_v1(text, telemetry);
     }
-    if magic != MAGIC {
-        if let Some(version) = magic.strip_prefix("causaliot-model ") {
-            return Err(parse_err(
-                1,
-                format!("unsupported version `{version}` (this build reads v2)"),
-            ));
-        }
-        return Err(parse_err(1, format!("bad magic `{magic}`")));
-    }
+    let mut reader = LineReader::new(text);
+    reader.magic(MAGIC)?;
 
     let mut config = CausalIotConfig::default();
     let mut num_devices: Option<usize> = None;
@@ -367,194 +350,138 @@ fn parse_model(text: &str, telemetry: &TelemetryHandle) -> Result<FittedModel, C
     let mut sanitizer_filter: Option<bool> = None;
     let mut bands: Vec<Option<ThreeSigmaBand>> = Vec::new();
     let mut binarizers: Vec<Option<DeviceBinarizer>> = Vec::new();
-    let mut dig_start: Option<usize> = None;
 
-    for (idx, raw) in text.lines().enumerate().skip(1) {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line == DIG_SENTINEL {
-            dig_start = Some(idx + 1);
-            break;
-        }
-        let mut parts = line.split_whitespace();
-        let key = parts.next().expect("non-empty line");
-        let mut next_str = |what: &str| -> Result<&str, CausalIotError> {
-            parts
-                .next()
-                .ok_or_else(|| parse_err(line_no, format!("missing {what}")))
-        };
-        match key {
-            "config.q" => config.q = parse_f64(next_str("q")?, line_no, "q")?,
-            "config.k_max" => config.k_max = parse_num(next_str("k_max")?, line_no, "k_max")?,
+    loop {
+        let mut record = reader
+            .next_record()
+            .ok_or_else(|| reader.missing("dig section"))?;
+        match record.tag() {
+            DIG_SENTINEL => {
+                record.done()?;
+                break;
+            }
+            "config.q" => config.q = record.num("q")?,
+            "config.k_max" => config.k_max = record.num("k_max")?,
             "config.unseen" => {
-                config.unseen = match next_str("unseen policy")? {
+                config.unseen = match record.word("unseen policy")? {
                     "marginal" => UnseenContext::Marginal,
                     "uniform" => UnseenContext::Uniform,
                     "max-anomaly" => UnseenContext::MaxAnomaly,
-                    other => {
-                        return Err(parse_err(line_no, format!("bad unseen policy `{other}`")))
-                    }
+                    other => return Err(record.error(format!("bad unseen policy `{other}`"))),
                 };
             }
             "config.restart_on_abrupt" => {
-                config.restart_on_abrupt =
-                    parse_bool(next_str("restart_on_abrupt")?, line_no, "restart_on_abrupt")?;
+                config.restart_on_abrupt = record.flag("restart_on_abrupt")?;
             }
             "config.calibration_fraction" => {
-                config.calibration_fraction = parse_f64(
-                    next_str("calibration_fraction")?,
-                    line_no,
-                    "calibration_fraction",
-                )?;
+                config.calibration_fraction = record.num("calibration_fraction")?;
             }
             "config.preprocess.duplicate_rel_tol" => {
-                config.preprocess.duplicate_rel_tol =
-                    parse_f64(next_str("duplicate_rel_tol")?, line_no, "duplicate_rel_tol")?;
+                config.preprocess.duplicate_rel_tol = record.num("duplicate_rel_tol")?;
             }
             "config.preprocess.filter_extremes" => {
-                config.preprocess.filter_extremes =
-                    parse_bool(next_str("filter_extremes")?, line_no, "filter_extremes")?;
+                config.preprocess.filter_extremes = record.flag("filter_extremes")?;
             }
             "config.tau" => {
-                config.tau = match next_str("tau mode")? {
-                    "fixed" => TauChoice::Fixed(parse_num(next_str("tau")?, line_no, "tau")?),
+                config.tau = match record.word("tau mode")? {
+                    "fixed" => TauChoice::Fixed(record.num("tau")?),
                     "auto" => TauChoice::Auto(crate::preprocess::TauConfig {
-                        max_duration_secs: parse_f64(
-                            next_str("max_duration_secs")?,
-                            line_no,
-                            "max_duration_secs",
-                        )?,
-                        min_tau: parse_num(next_str("min_tau")?, line_no, "min_tau")?,
-                        max_tau: parse_num(next_str("max_tau")?, line_no, "max_tau")?,
+                        max_duration_secs: record.num("max_duration_secs")?,
+                        min_tau: record.num("min_tau")?,
+                        max_tau: record.num("max_tau")?,
                     }),
-                    other => return Err(parse_err(line_no, format!("bad tau mode `{other}`"))),
+                    other => return Err(record.error(format!("bad tau mode `{other}`"))),
                 };
             }
-            "config.miner.alpha" => {
-                config.miner.alpha = parse_f64(next_str("alpha")?, line_no, "alpha")?;
-            }
+            "config.miner.alpha" => config.miner.alpha = record.num("alpha")?,
             "config.miner.max_cond_size" => {
-                config.miner.max_cond_size =
-                    parse_num(next_str("max_cond_size")?, line_no, "max_cond_size")?;
+                config.miner.max_cond_size = record.num("max_cond_size")?;
             }
-            "config.miner.smoothing" => {
-                config.miner.smoothing = parse_f64(next_str("smoothing")?, line_no, "smoothing")?;
-            }
-            "config.miner.parallel" => {
-                config.miner.parallel = parse_bool(next_str("parallel")?, line_no, "parallel")?;
-            }
+            "config.miner.smoothing" => config.miner.smoothing = record.num("smoothing")?,
+            "config.miner.parallel" => config.miner.parallel = record.flag("parallel")?,
             "config.miner.ci_test" => {
-                config.miner.ci_test = match next_str("ci_test")? {
+                config.miner.ci_test = match record.word("ci_test")? {
                     "g-square" => CiTestKind::GSquare,
                     "pearson-chi2" => CiTestKind::PearsonChi2,
-                    other => return Err(parse_err(line_no, format!("bad ci_test `{other}`"))),
+                    other => return Err(record.error(format!("bad ci_test `{other}`"))),
                 };
             }
             "devices" => {
-                let n: usize = parse_num(next_str("device count")?, line_no, "device count")?;
+                if num_devices.is_some() {
+                    return Err(record.error("duplicate devices record"));
+                }
+                let n = record.count("device count")?;
                 num_devices = Some(n);
                 bands = vec![None; n];
                 binarizers = vec![None; n];
             }
             "state" => {
-                let bits = next_str("state bits")?;
-                let n = num_devices.ok_or_else(|| parse_err(line_no, "state before devices"))?;
-                if bits.len() != n {
-                    return Err(parse_err(
-                        line_no,
-                        format!("state has {} bits, expected {n}", bits.len()),
-                    ));
-                }
-                let values: Result<Vec<bool>, CausalIotError> = bits
-                    .chars()
-                    .map(|c| match c {
-                        '0' => Ok(false),
-                        '1' => Ok(true),
-                        other => Err(parse_err(line_no, format!("bad state bit `{other}`"))),
-                    })
-                    .collect();
-                state = Some(SystemState::from_values(values?));
+                let n = num_devices.ok_or_else(|| record.error("state before devices"))?;
+                state = Some(record.bits(n, "state")?);
             }
             "preprocessor" => {
-                preprocessor_present = Some(match next_str("preprocessor presence")? {
+                preprocessor_present = Some(match record.word("preprocessor presence")? {
                     "present" => true,
                     "absent" => false,
                     other => {
-                        return Err(parse_err(
-                            line_no,
-                            format!("bad preprocessor presence `{other}`"),
-                        ))
+                        let reason = format!("bad preprocessor presence `{other}`");
+                        return Err(record.error(reason));
                     }
                 });
             }
             "sanitizer.duplicate_rel_tol" => {
-                sanitizer_rel_tol = Some(parse_f64(
-                    next_str("duplicate_rel_tol")?,
-                    line_no,
-                    "duplicate_rel_tol",
-                )?);
+                sanitizer_rel_tol = Some(record.num("duplicate_rel_tol")?);
             }
             "sanitizer.filter_extremes" => {
-                sanitizer_filter = Some(parse_bool(
-                    next_str("filter_extremes")?,
-                    line_no,
-                    "filter_extremes",
-                )?);
+                sanitizer_filter = Some(record.flag("filter_extremes")?);
             }
             "band" => {
-                let device: usize = parse_num(next_str("band device")?, line_no, "band device")?;
-                let lo = parse_f64(next_str("band lo")?, line_no, "band lo")?;
-                let hi = parse_f64(next_str("band hi")?, line_no, "band hi")?;
-                let slot = bands
-                    .get_mut(device)
-                    .ok_or_else(|| parse_err(line_no, "band device out of range"))?;
-                if lo > hi {
-                    return Err(parse_err(line_no, "band lo exceeds hi"));
+                let device: usize = record.num("band device")?;
+                let lo: f64 = record.num("band lo")?;
+                let hi: f64 = record.num("band hi")?;
+                // The negation of `lo <= hi`, which a band asserts.
+                if lo.is_nan() || hi.is_nan() || lo > hi {
+                    return Err(record.error("band lo exceeds hi"));
                 }
-                *slot = Some(ThreeSigmaBand::from_bounds(lo, hi));
+                *bands
+                    .get_mut(device)
+                    .ok_or_else(|| record.error("band device out of range"))? =
+                    Some(ThreeSigmaBand::from_bounds(lo, hi));
             }
             "binarizer" => {
-                let device: usize =
-                    parse_num(next_str("binarizer device")?, line_no, "binarizer device")?;
-                let rule = match next_str("binarizer kind")? {
+                let device: usize = record.num("binarizer device")?;
+                let rule = match record.word("binarizer kind")? {
                     "binary" => DeviceBinarizer::Binary,
                     "responsive" => DeviceBinarizer::Responsive,
                     "ambient" => DeviceBinarizer::Ambient(JenksBinarizer::with_threshold(
-                        parse_f64(next_str("ambient threshold")?, line_no, "ambient threshold")?,
+                        record.num("ambient threshold")?,
                     )),
-                    other => {
-                        return Err(parse_err(line_no, format!("bad binarizer kind `{other}`")))
-                    }
+                    other => return Err(record.error(format!("bad binarizer kind `{other}`"))),
                 };
-                let slot = binarizers
+                *binarizers
                     .get_mut(device)
-                    .ok_or_else(|| parse_err(line_no, "binarizer device out of range"))?;
-                *slot = Some(rule);
+                    .ok_or_else(|| record.error("binarizer device out of range"))? = Some(rule);
             }
-            other => return Err(parse_err(line_no, format!("unknown record `{other}`"))),
+            other => return Err(record.error(format!("unknown record `{other}`"))),
         }
+        record.done()?;
     }
 
-    let num_devices = num_devices.ok_or_else(|| parse_err(0, "missing devices"))?;
-    let final_train_state = state.ok_or_else(|| parse_err(0, "missing state"))?;
+    let num_devices = num_devices.ok_or_else(|| reader.missing("devices"))?;
+    let final_train_state = state.ok_or_else(|| reader.missing("state"))?;
     let preprocessor_present =
-        preprocessor_present.ok_or_else(|| parse_err(0, "missing preprocessor record"))?;
-    let dig_start = dig_start.ok_or_else(|| parse_err(0, "missing dig section"))?;
+        preprocessor_present.ok_or_else(|| reader.missing("preprocessor record"))?;
     config.check()?;
 
     let preprocessor = if preprocessor_present {
         let rel_tol =
-            sanitizer_rel_tol.ok_or_else(|| parse_err(0, "missing sanitizer.duplicate_rel_tol"))?;
-        let filter =
-            sanitizer_filter.ok_or_else(|| parse_err(0, "missing sanitizer.filter_extremes"))?;
+            sanitizer_rel_tol.ok_or_else(|| reader.missing("sanitizer.duplicate_rel_tol"))?;
+        let filter = sanitizer_filter.ok_or_else(|| reader.missing("sanitizer.filter_extremes"))?;
         let rules: Result<Vec<DeviceBinarizer>, CausalIotError> = binarizers
             .into_iter()
             .enumerate()
             .map(|(device, rule)| {
-                rule.ok_or_else(|| parse_err(0, format!("missing binarizer for device {device}")))
+                rule.ok_or_else(|| reader.missing(format_args!("binarizer for device {device}")))
             })
             .collect();
         Some(FittedPreprocessor::from_parts(
@@ -565,23 +492,9 @@ fn parse_model(text: &str, telemetry: &TelemetryHandle) -> Result<FittedModel, C
         None
     };
 
-    let dig_text: String = text
-        .lines()
-        .skip(dig_start)
-        .flat_map(|line| [line, "\n"])
-        .collect();
-    let (dig, threshold) = load_dig_with_smoothing(&dig_text, config.miner.smoothing)
-        .map_err(|e| rebase_dig_error(e, dig_start))?;
-    if dig.num_devices() != num_devices {
-        return Err(parse_err(
-            0,
-            format!(
-                "dig covers {} devices, checkpoint declares {num_devices}",
-                dig.num_devices()
-            ),
-        ));
-    }
-
+    // The embedded DIG runs from the sentinel to the end of the document,
+    // on the same cursor, so its errors name whole-document lines.
+    let (dig, threshold) = read_dig(&mut reader, config.miner.smoothing, Some(num_devices))?;
     let fit_report = structural_report(num_devices, dig.tau(), threshold, &dig);
     Ok(FittedModel::assemble(
         dig,
@@ -595,24 +508,11 @@ fn parse_model(text: &str, telemetry: &TelemetryHandle) -> Result<FittedModel, C
     ))
 }
 
-/// Rebases a parse error from the embedded dig sub-document (whose line
-/// numbers start at 1 at the `dig` sentinel's successor) into whole-file
-/// line numbers, so downstream byte-offset reporting points at the right
-/// place.
-fn rebase_dig_error(e: CausalIotError, dig_start: usize) -> CausalIotError {
-    match e {
-        CausalIotError::Model(iot_model::ModelError::ParseLog { line, reason }) if line > 0 => {
-            parse_err(line + dig_start, reason)
-        }
-        other => other,
-    }
-}
-
 /// Restores a legacy dig-only document as a model with paper-default
 /// configuration (τ fixed to the stored graph's lag depth), no
 /// preprocessor, and an all-OFF initial state.
 fn load_v1(text: &str, telemetry: &TelemetryHandle) -> Result<FittedModel, CausalIotError> {
-    let (dig, threshold) = load_dig(text)?;
+    let (dig, threshold) = read_dig(&mut LineReader::new(text), 0.0, None)?;
     let num_devices = dig.num_devices();
     let config = CausalIotConfig {
         tau: TauChoice::Fixed(dig.tau()),
@@ -647,21 +547,6 @@ fn structural_report(
         num_interactions: dig.interaction_pairs().len(),
         ..FitReport::default()
     }
-}
-
-fn parse_f64(s: &str, line: usize, what: &str) -> Result<f64, CausalIotError> {
-    s.parse()
-        .map_err(|_| parse_err(line, format!("bad {what} `{s}`")))
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, line: usize, what: &str) -> Result<T, CausalIotError> {
-    s.parse()
-        .map_err(|_| parse_err(line, format!("bad {what} `{s}`")))
-}
-
-fn parse_bool(s: &str, line: usize, what: &str) -> Result<bool, CausalIotError> {
-    s.parse()
-        .map_err(|_| parse_err(line, format!("bad {what} `{s}`")))
 }
 
 #[cfg(test)]
@@ -804,6 +689,60 @@ mod tests {
             .collect();
         assert!(FittedModel::load(&no_dig).is_err());
         assert!(FittedModel::load(&text.replace("config.q 99.0", "config.q 0.0")).is_err());
+    }
+
+    /// Replaces the whole line starting with `prefix` in a fitted model's
+    /// checkpoint; returns the document and that line's number.
+    fn with_line(prefix: &str, replacement: &str) -> (String, usize) {
+        let text = fitted().save();
+        let at = text.lines().position(|l| l.starts_with(prefix)).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[at] = replacement;
+        (lines.join("\n") + "\n", at + 1)
+    }
+
+    fn rejected_line(text: &str) -> usize {
+        match FittedModel::load(text) {
+            Err(CausalIotError::Model(iot_model::ModelError::ParseLog { line, .. })) => line,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn embedded_out_of_range_cause_device_names_its_line() {
+        let (text, line) = with_line("causes 0", "causes 0 7:1");
+        assert_eq!(rejected_line(&text), line);
+    }
+
+    #[test]
+    fn embedded_zero_cause_lag_names_its_line() {
+        let (text, line) = with_line("causes 0", "causes 0 1:0");
+        assert_eq!(rejected_line(&text), line);
+    }
+
+    #[test]
+    fn embedded_cause_lag_beyond_tau_names_its_line() {
+        let (text, line) = with_line("causes 0", "causes 0 1:3");
+        assert_eq!(rejected_line(&text), line);
+    }
+
+    #[test]
+    fn embedded_oversized_cause_set_names_its_line() {
+        let pairs = vec!["1:1"; 25].join(" ");
+        let (text, line) = with_line("causes 0", &format!("causes 0 {pairs}"));
+        assert_eq!(rejected_line(&text), line);
+    }
+
+    #[test]
+    fn u64_max_device_count_names_its_line() {
+        let (text, line) = with_line("devices", "devices 18446744073709551615");
+        assert_eq!(rejected_line(&text), line);
+    }
+
+    #[test]
+    fn u32_max_device_count_names_its_line() {
+        let (text, line) = with_line("devices", "devices 4294967295");
+        assert_eq!(rejected_line(&text), line);
     }
 
     /// A scratch file that cleans itself up even when the test panics.

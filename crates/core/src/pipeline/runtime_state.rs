@@ -45,52 +45,14 @@
 //! epoch).
 
 use std::fmt::Write as _;
-use std::str::FromStr;
 
-use iot_model::{BinaryEvent, DeviceId, SystemState, Timestamp};
-
-use crate::graph::LaggedVar;
 use crate::monitor::{AnomalousEvent, DetectorStats, PhantomStateMachine};
+use crate::persist::{push_bits, read_anomalous_event, write_anomalous_event, LineReader, Record};
 use crate::CausalIotError;
 
 use super::OwnedMonitor;
 
 pub(super) const MAGIC: &str = "causaliot-runtime v1";
-
-fn parse_err(line: usize, reason: impl Into<String>) -> CausalIotError {
-    CausalIotError::Model(iot_model::ModelError::ParseLog {
-        line,
-        reason: reason.into(),
-    })
-}
-
-fn field<T: FromStr>(
-    parts: &mut std::str::SplitWhitespace<'_>,
-    line_no: usize,
-    what: &str,
-) -> Result<T, CausalIotError> {
-    let token = parts
-        .next()
-        .ok_or_else(|| parse_err(line_no, format!("missing {what}")))?;
-    token
-        .parse::<T>()
-        .map_err(|_| parse_err(line_no, format!("unparseable {what} `{token}`")))
-}
-
-fn parse_bool01(
-    parts: &mut std::str::SplitWhitespace<'_>,
-    line_no: usize,
-    what: &str,
-) -> Result<bool, CausalIotError> {
-    match field::<u8>(parts, line_no, what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(parse_err(
-            line_no,
-            format!("{what} must be 0/1, got {other}"),
-        )),
-    }
-}
 
 impl OwnedMonitor {
     /// Serialises the monitor's **runtime-mutable** state — detector
@@ -132,12 +94,9 @@ impl OwnedMonitor {
             last_dev,
             last_old as u8
         );
-        let bits: String = current
-            .values()
-            .iter()
-            .map(|&on| if on { '1' } else { '0' })
-            .collect();
-        let _ = writeln!(out, "pm.state {bits}");
+        out.push_str("pm.state ");
+        push_bits(&mut out, current);
+        out.push('\n');
         out.push_str("pm.newest");
         for &slot in newest {
             let _ = write!(out, " {slot}");
@@ -153,25 +112,7 @@ impl OwnedMonitor {
         }
         let _ = writeln!(out, "w {}", w.len());
         for tracked in w {
-            let _ = writeln!(
-                out,
-                "w.event {} {} {} {} {:?} {}",
-                tracked.ordinal,
-                tracked.event.time.as_millis(),
-                tracked.event.device.index(),
-                tracked.event.value as u8,
-                tracked.score,
-                tracked.cause_values.len()
-            );
-            for &(cause, value) in &tracked.cause_values {
-                let _ = writeln!(
-                    out,
-                    "w.cause {} {} {}",
-                    cause.device.index(),
-                    cause.lag,
-                    value as u8
-                );
-            }
+            write_anomalous_event(&mut out, "w.event", "w.cause", tracked);
         }
         let _ = writeln!(out, "end");
         out
@@ -201,245 +142,145 @@ impl OwnedMonitor {
         let cap = expect_tau + 1;
         let k_max = self.detector.config().k_max;
 
+        let mut reader = LineReader::new(text);
+        reader.magic(MAGIC)?;
         let mut stats: Option<DetectorStats> = None;
-        let mut drops: Option<(u64, u64, u64)> = None;
+        let mut drops: Option<[u64; 3]> = None;
         let mut next_ordinal: Option<u64> = None;
         let mut pm_head: Option<(u64, u32, bool)> = None;
-        let mut state: Option<SystemState> = None;
+        let mut state = None;
         let mut newest: Option<Vec<u32>> = None;
         let mut hist: Vec<Option<Vec<u64>>> = vec![None; expect_n];
-        let mut w: Option<Vec<AnomalousEvent>> = None;
-        // The `w` header's declared record count and its line.
-        let mut w_header = (0usize, 0usize);
-        let mut pending_causes = 0usize;
+        // The tracked window, the count its `w` header declares, and the
+        // header (for errors that name it).
+        let mut w: Option<(Vec<AnomalousEvent>, usize, Record<'_>)> = None;
         let mut saw_end = false;
 
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if idx == 0 {
-                if line != MAGIC {
-                    return Err(parse_err(1, format!("bad magic `{line}`")));
-                }
-                continue;
-            }
+        while let Some(mut record) = reader.next_record() {
             if saw_end {
-                return Err(parse_err(line_no, "content after `end`"));
+                return Err(record.error("content after `end`"));
             }
-            let mut parts = line.split_whitespace();
-            let key = parts.next().expect("non-empty line has a first token");
-            if pending_causes > 0 && key != "w.cause" {
-                return Err(parse_err(line_no, "expected w.cause record"));
-            }
-            match key {
+            match record.tag() {
                 "stats" => {
                     stats = Some(DetectorStats {
-                        events: field(&mut parts, line_no, "stats.events")?,
-                        contextual_alarms: field(&mut parts, line_no, "stats.contextual")?,
-                        collective_alarms: field(&mut parts, line_no, "stats.collective")?,
-                        max_tracking_len: field(&mut parts, line_no, "stats.max_tracking")?,
+                        events: record.counter("stats.events")?,
+                        contextual_alarms: record.counter("stats.contextual")?,
+                        collective_alarms: record.counter("stats.collective")?,
+                        max_tracking_len: record.num("stats.max_tracking")?,
                     });
                 }
                 "drops" => {
-                    drops = Some((
-                        field(&mut parts, line_no, "drops.duplicate")?,
-                        field(&mut parts, line_no, "drops.extreme")?,
-                        field(&mut parts, line_no, "drops.non_finite")?,
-                    ));
+                    drops = Some([
+                        record.counter("drops.duplicate")?,
+                        record.counter("drops.extreme")?,
+                        record.counter("drops.non_finite")?,
+                    ]);
                 }
-                "next_ordinal" => {
-                    next_ordinal = Some(field(&mut parts, line_no, "next_ordinal")?);
-                }
+                "next_ordinal" => next_ordinal = Some(record.counter("next_ordinal")?),
                 "pm" => {
-                    let tau: usize = field(&mut parts, line_no, "pm.tau")?;
-                    let n: usize = field(&mut parts, line_no, "pm.devices")?;
+                    let tau: usize = record.num("pm.tau")?;
+                    let n: usize = record.num("pm.devices")?;
                     if tau != expect_tau || n != expect_n {
-                        return Err(parse_err(
-                            line_no,
-                            format!(
-                                "snapshot shape (τ {tau}, {n} devices) does not match \
-                                 the monitor (τ {expect_tau}, {expect_n} devices)"
-                            ),
-                        ));
+                        return Err(record.error(format!(
+                            "snapshot shape (τ {tau}, {n} devices) does not match \
+                             the monitor (τ {expect_tau}, {expect_n} devices)"
+                        )));
                     }
-                    let step: u64 = field(&mut parts, line_no, "pm.step")?;
-                    let last_dev: u32 = field(&mut parts, line_no, "pm.last_dev")?;
-                    let last_old = parse_bool01(&mut parts, line_no, "pm.last_old")?;
-                    pm_head = Some((step, last_dev, last_old));
-                }
-                "pm.state" => {
-                    let bits = parts
-                        .next()
-                        .ok_or_else(|| parse_err(line_no, "missing pm.state bits"))?;
-                    if bits.len() != expect_n || !bits.bytes().all(|b| b == b'0' || b == b'1') {
-                        return Err(parse_err(
-                            line_no,
-                            format!("pm.state must be {expect_n} 0/1 digits"),
-                        ));
-                    }
-                    state = Some(SystemState::from_values(
-                        bits.bytes().map(|b| b == b'1').collect(),
+                    pm_head = Some((
+                        record.counter("pm.step")?,
+                        record.num("pm.last_dev")?,
+                        record.bit("pm.last_old")?,
                     ));
                 }
+                "pm.state" => state = Some(record.bits(expect_n, "pm.state")?),
                 "pm.newest" => {
-                    let slots = parts
-                        .by_ref()
-                        .map(|token| {
-                            token
-                                .parse::<u32>()
-                                .map_err(|_| parse_err(line_no, "unparseable pm.newest slot"))
-                        })
+                    let slots = record
+                        .rest()
+                        .map(|token| record.parse::<u32>(token, "pm.newest slot"))
                         .collect::<Result<Vec<u32>, _>>()?;
                     if slots.len() != expect_n || slots.iter().any(|&s| s as usize >= cap) {
-                        return Err(parse_err(
-                            line_no,
-                            format!("pm.newest needs {expect_n} slots below {cap}"),
-                        ));
+                        return Err(
+                            record.error(format!("pm.newest needs {expect_n} slots below {cap}"))
+                        );
                     }
                     newest = Some(slots);
                 }
                 "pm.ring" => {
-                    let d: usize = field(&mut parts, line_no, "pm.ring device")?;
-                    if d >= expect_n {
-                        return Err(parse_err(
-                            line_no,
-                            format!("pm.ring device {d} out of range"),
-                        ));
-                    }
-                    let entries = parts
-                        .by_ref()
-                        .map(|token| {
-                            token
-                                .parse::<u64>()
-                                .map_err(|_| parse_err(line_no, "unparseable pm.ring entry"))
-                        })
+                    let d: usize = record.num("pm.ring device")?;
+                    let ring = hist
+                        .get_mut(d)
+                        .ok_or_else(|| record.error(format!("pm.ring device {d} out of range")))?;
+                    let entries = record
+                        .rest()
+                        .map(|token| record.parse::<u64>(token, "pm.ring entry"))
                         .collect::<Result<Vec<u64>, _>>()?;
                     if entries.len() != cap {
-                        return Err(parse_err(
-                            line_no,
-                            format!("pm.ring needs {cap} entries, got {}", entries.len()),
-                        ));
+                        return Err(record.error(format!(
+                            "pm.ring needs {cap} entries, got {}",
+                            entries.len()
+                        )));
                     }
-                    hist[d] = Some(entries);
+                    *ring = Some(entries);
                 }
                 "w" => {
-                    let len: usize = field(&mut parts, line_no, "w length")?;
+                    let len = record.count("w length")?;
                     if len >= k_max {
-                        return Err(parse_err(
-                            line_no,
-                            format!("w holds {len} records; W flushes at k_max {k_max}"),
-                        ));
+                        return Err(record
+                            .error(format!("w holds {len} records; W flushes at k_max {k_max}")));
                     }
-                    w_header = (len, line_no);
-                    w = Some(Vec::with_capacity(len.min(4096)));
+                    w = Some((Vec::with_capacity(len), len, record.clone()));
                 }
                 "w.event" => {
-                    let w = w
+                    let (events, len, _) = w
                         .as_mut()
-                        .ok_or_else(|| parse_err(line_no, "w.event before w header"))?;
-                    if w.len() == w_header.0 {
-                        return Err(parse_err(
-                            line_no,
-                            format!("w.event beyond the w header's {} records", w_header.0),
-                        ));
+                        .ok_or_else(|| record.error("w.event before w header"))?;
+                    if events.len() == *len {
+                        return Err(
+                            record.error(format!("w.event beyond the w header's {len} records"))
+                        );
                     }
-                    let ordinal: u64 = field(&mut parts, line_no, "w.event ordinal")?;
-                    let millis: u64 = field(&mut parts, line_no, "w.event millis")?;
-                    let device: usize = field(&mut parts, line_no, "w.event device")?;
-                    if device >= expect_n {
-                        return Err(parse_err(
-                            line_no,
-                            format!("w.event device {device} out of range"),
-                        ));
-                    }
-                    let value = parse_bool01(&mut parts, line_no, "w.event value")?;
-                    let score: f64 = field(&mut parts, line_no, "w.event score")?;
-                    pending_causes = field(&mut parts, line_no, "w.event cause count")?;
-                    w.push(AnomalousEvent {
-                        ordinal,
-                        event: BinaryEvent::new(
-                            Timestamp::from_millis(millis),
-                            DeviceId::from_index(device),
-                            value,
-                        ),
-                        cause_values: Vec::with_capacity(pending_causes.min(256)),
-                        score,
-                    });
+                    let lags = 1..=expect_tau;
+                    let event =
+                        read_anomalous_event(&mut reader, record, "w.cause", expect_n, lags);
+                    events.push(event?);
+                    continue;
                 }
-                "w.cause" => {
-                    if pending_causes == 0 {
-                        return Err(parse_err(line_no, "unexpected w.cause record"));
-                    }
-                    let device: usize = field(&mut parts, line_no, "w.cause device")?;
-                    let lag: usize = field(&mut parts, line_no, "w.cause lag")?;
-                    if device >= expect_n || lag == 0 || lag > expect_tau {
-                        return Err(parse_err(
-                            line_no,
-                            format!("w.cause ({device}, lag {lag}) out of range"),
-                        ));
-                    }
-                    let value = parse_bool01(&mut parts, line_no, "w.cause value")?;
-                    let tracked = w
-                        .as_mut()
-                        .and_then(|w| w.last_mut())
-                        .ok_or_else(|| parse_err(line_no, "w.cause before w.event"))?;
-                    tracked
-                        .cause_values
-                        .push((LaggedVar::new(DeviceId::from_index(device), lag), value));
-                    pending_causes -= 1;
-                }
-                "end" => {
-                    saw_end = true;
-                }
-                other => {
-                    return Err(parse_err(line_no, format!("unknown record `{other}`")));
-                }
+                "end" => saw_end = true,
+                other => return Err(record.error(format!("unknown record `{other}`"))),
             }
-            if parts.next().is_some() && key != "end" {
-                return Err(parse_err(line_no, format!("trailing tokens on `{key}`")));
-            }
+            record.done()?;
         }
 
-        // The parsers report missing sections with line 0; path-attaching
+        // Missing sections are reported with line 0; path-attaching
         // wrappers map those to truncation, mirroring the checkpoint
         // loader's contract.
         if !saw_end {
-            return Err(parse_err(0, "missing `end` sentinel"));
+            return Err(reader.missing("`end` sentinel"));
         }
-        if pending_causes > 0 {
-            return Err(parse_err(0, "missing w.cause records"));
-        }
-        let stats = stats.ok_or_else(|| parse_err(0, "missing stats record"))?;
-        let (dup, extreme, non_finite) =
-            drops.ok_or_else(|| parse_err(0, "missing drops record"))?;
-        let next_ordinal = next_ordinal.ok_or_else(|| parse_err(0, "missing next_ordinal"))?;
-        let (step, last_dev, last_old) =
-            pm_head.ok_or_else(|| parse_err(0, "missing pm record"))?;
-        let state = state.ok_or_else(|| parse_err(0, "missing pm.state record"))?;
-        let newest = newest.ok_or_else(|| parse_err(0, "missing pm.newest record"))?;
+        let stats = stats.ok_or_else(|| reader.missing("stats record"))?;
+        let drops = drops.ok_or_else(|| reader.missing("drops record"))?;
+        let next_ordinal = next_ordinal.ok_or_else(|| reader.missing("next_ordinal"))?;
+        let (step, last_dev, last_old) = pm_head.ok_or_else(|| reader.missing("pm record"))?;
+        let state = state.ok_or_else(|| reader.missing("pm.state record"))?;
+        let newest = newest.ok_or_else(|| reader.missing("pm.newest record"))?;
         let mut flat_hist = Vec::with_capacity(expect_n * cap);
         for (d, ring) in hist.into_iter().enumerate() {
-            let ring = ring.ok_or_else(|| parse_err(0, format!("missing pm.ring {d} record")))?;
+            let ring = ring.ok_or_else(|| reader.missing(format_args!("pm.ring {d} record")))?;
             flat_hist.extend_from_slice(&ring);
         }
-        let w = w.ok_or_else(|| parse_err(0, "missing w record"))?;
-        if w.len() != w_header.0 {
-            return Err(parse_err(
-                w_header.1,
-                format!("w declares {} records, found {}", w_header.0, w.len()),
-            ));
+        let (w, len, header) = w.ok_or_else(|| reader.missing("w record"))?;
+        if w.len() != len {
+            return Err(header.error(format!("w declares {len} records, found {}", w.len())));
         }
-
         let pm = PhantomStateMachine::from_snapshot_parts(
             expect_tau, step, state, flat_hist, newest, last_dev, last_old,
         );
         self.detector.restore_runtime(pm, w, next_ordinal, stats);
-        self.dropped_duplicate = dup;
-        self.dropped_extreme = extreme;
-        self.dropped_non_finite = non_finite;
+        [
+            self.dropped_duplicate,
+            self.dropped_extreme,
+            self.dropped_non_finite,
+        ] = drops;
         Ok(())
     }
 }
@@ -448,7 +289,7 @@ impl OwnedMonitor {
 mod tests {
     use super::*;
     use crate::pipeline::CausalIot;
-    use iot_model::{Attribute, DeviceRegistry, Room};
+    use iot_model::{Attribute, BinaryEvent, DeviceId, DeviceRegistry, Room, Timestamp};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn fitted() -> (DeviceRegistry, crate::pipeline::FittedModel) {

@@ -38,14 +38,13 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::str::{FromStr, SplitWhitespace};
 use std::time::Instant;
 
-use causaliot_core::graph::LaggedVar;
 use causaliot_core::persist::{
-    append_crc_footer, crc32, find_crc_footer, write_atomic, CRC_FOOTER_PREFIX,
+    append_crc_footer, crc32, find_crc_footer, push_bits, read_anomalous_event,
+    write_anomalous_event, write_atomic, LineReader, CRC_FOOTER_PREFIX,
 };
-use causaliot_core::{Alarm, AlarmKind, AnomalousEvent, Verdict};
+use causaliot_core::{Alarm, AlarmKind, CausalIotError, Verdict};
 use iot_model::{BinaryEvent, DeviceId, SystemState, Timestamp};
 
 use crate::config::DurabilityPolicy;
@@ -300,13 +299,13 @@ pub(crate) struct DriftParts<'a> {
     pub(crate) base_state: SystemState,
 }
 
-/// A parsed snapshot document.
+/// A parsed snapshot document, borrowing from the text it was parsed from.
 #[derive(Debug)]
-pub(crate) struct SnapshotDoc {
+pub(crate) struct SnapshotDoc<'t> {
     pub(crate) seq: u64,
     pub(crate) next_epoch: u64,
     /// The embedded monitor runtime-state document, verbatim.
-    pub(crate) monitor_doc: String,
+    pub(crate) monitor_doc: &'t str,
     /// `Some` exactly when the snapshot carried a verdict history.
     pub(crate) verdicts: Option<Vec<Verdict>>,
     pub(crate) drift: Option<DriftResume>,
@@ -351,20 +350,7 @@ pub(crate) fn render_snapshot(
                     alarm.events.len()
                 );
                 for ev in &alarm.events {
-                    let _ = writeln!(
-                        out,
-                        "e {} {} {} {} {:?} {}",
-                        ev.ordinal,
-                        ev.event.time.as_millis(),
-                        ev.event.device.index(),
-                        ev.event.value as u8,
-                        ev.score,
-                        ev.cause_values.len()
-                    );
-                    for (var, value) in &ev.cause_values {
-                        let _ =
-                            writeln!(out, "c {} {} {}", var.device.index(), var.lag, *value as u8);
-                    }
+                    write_anomalous_event(&mut out, "e", "c", ev);
                 }
             }
         }
@@ -400,9 +386,7 @@ pub(crate) fn render_snapshot(
                 );
             }
             out.push_str("drift.base ");
-            for &bit in d.base_state.values() {
-                out.push(if bit { '1' } else { '0' });
-            }
+            push_bits(&mut out, &d.base_state);
             out.push('\n');
         }
     }
@@ -410,39 +394,10 @@ pub(crate) fn render_snapshot(
     out
 }
 
-fn snap_err(line: usize, reason: impl Into<String>) -> String {
-    format!("line {line}: {}", reason.into())
-}
-
-fn field<T: FromStr>(parts: &mut SplitWhitespace, line: usize, what: &str) -> Result<T, String> {
-    parts
-        .next()
-        .ok_or_else(|| snap_err(line, format!("missing {what}")))?
-        .parse()
-        .map_err(|_| snap_err(line, format!("unparseable {what}")))
-}
-
-/// The line at `*i`, borrowed from the document, advancing `*i` past it.
-fn take<'t>(lines: &[&'t str], i: &mut usize, what: &str) -> Result<&'t str, String> {
-    let line = lines
-        .get(*i)
-        .ok_or_else(|| snap_err(*i + 1, format!("missing {what}")))?;
-    *i += 1;
-    Ok(line)
-}
-
-fn bool01(parts: &mut SplitWhitespace, line: usize, what: &str) -> Result<bool, String> {
-    match field::<u8>(parts, line, what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(snap_err(line, format!("{what} must be 0 or 1"))),
-    }
-}
-
 /// Parses and verifies a snapshot document (body + CRC footer, as read
-/// from disk). Fail-closed: any mismatch is an error, never a partial
-/// restore.
-pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, String> {
+/// from disk) for a home whose model has `devices` devices. Fail-closed:
+/// any mismatch is an error, never a partial restore.
+pub(crate) fn parse_snapshot(text: &str, devices: usize) -> Result<SnapshotDoc<'_>, String> {
     let Some(pos) = find_crc_footer(text) else {
         return Err("missing crc32 footer".into());
     };
@@ -457,197 +412,97 @@ pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, String> {
             "crc32 mismatch: footer {want:08x}, content {got:08x}"
         ));
     }
-    let lines: Vec<&str> = text[..pos].lines().collect();
-    let mut i = 0usize;
-    if take(&lines, &mut i, "magic")? != MAGIC {
-        return Err(snap_err(1, "bad magic"));
-    }
+    read_snapshot(&text[..pos], devices).map_err(|e| e.to_string())
+}
 
-    let line = take(&lines, &mut i, "seq")?;
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some("seq") {
-        return Err(snap_err(i, "expected seq"));
-    }
-    let seq: u64 = field(&mut parts, i, "seq")?;
-
-    let line = take(&lines, &mut i, "wal.next_epoch")?;
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some("wal.next_epoch") {
-        return Err(snap_err(i, "expected wal.next_epoch"));
-    }
-    let next_epoch: u64 = field(&mut parts, i, "wal.next_epoch")?;
-
-    if take(&lines, &mut i, "monitor")? != "monitor" {
-        return Err(snap_err(i, "expected monitor"));
-    }
+/// Decodes a verified snapshot body.
+fn read_snapshot(body: &str, devices: usize) -> Result<SnapshotDoc<'_>, CausalIotError> {
+    let mut reader = LineReader::new(body);
+    reader.magic(MAGIC)?;
+    let mut record = reader.expect("seq")?;
+    let seq = record.counter("seq")?;
+    record.done()?;
+    let mut record = reader.expect("wal.next_epoch")?;
+    let next_epoch = record.counter("wal.next_epoch")?;
+    record.done()?;
+    reader.expect("monitor")?.done()?;
     // The embedded runtime-state document runs through its own `end`
-    // line (its grammar guarantees exactly one).
-    let start = i;
-    while i < lines.len() && lines[i] != "end" {
-        i += 1;
+    // record. It is borrowed as is: the monitor's restore decodes it.
+    let start = reader.position();
+    loop {
+        let record = reader
+            .next_record()
+            .ok_or_else(|| reader.missing("`end` of the embedded monitor document"))?;
+        if record.tag() == "end" {
+            break;
+        }
     }
-    if i == lines.len() {
-        return Err(snap_err(start + 1, "embedded monitor document has no end"));
-    }
-    i += 1; // past the runtime doc's `end`
-    let mut monitor_doc = lines[start..i].join("\n");
-    monitor_doc.push('\n');
+    let monitor_doc = &body[start..reader.position()];
 
-    let mut verdicts: Option<Vec<Verdict>> = None;
-    if lines.get(i).is_some_and(|l| l.starts_with("verdicts ")) {
-        let line = take(&lines, &mut i, "verdicts")?;
-        let mut parts = line.split_whitespace();
-        parts.next();
-        let count: usize = field(&mut parts, i, "verdict count")?;
-        let mut list = Vec::with_capacity(count.min(1 << 20));
+    let has_verdicts = reader
+        .clone()
+        .next_record()
+        .is_some_and(|record| record.tag() == "verdicts");
+    let verdicts = if has_verdicts {
+        let mut record = reader.expect("verdicts")?;
+        let count = record.count("verdict count")?;
+        record.done()?;
+        let mut list = Vec::with_capacity(count);
         for _ in 0..count {
-            let line = take(&lines, &mut i, "verdict")?;
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("v") {
-                return Err(snap_err(i, "expected v"));
-            }
-            let score: f64 = field(&mut parts, i, "score")?;
-            let exceeds_threshold = bool01(&mut parts, i, "exceeds flag")?;
-            let confidence: f64 = field(&mut parts, i, "confidence")?;
-            let nalarms: usize = field(&mut parts, i, "alarm count")?;
-            let mut alarms = Vec::with_capacity(nalarms.min(1 << 10));
-            for _ in 0..nalarms {
-                let line = take(&lines, &mut i, "alarm")?;
-                let mut parts = line.split_whitespace();
-                if parts.next() != Some("a") {
-                    return Err(snap_err(i, "expected a"));
-                }
-                let kind = if bool01(&mut parts, i, "alarm kind")? {
-                    AlarmKind::Collective
-                } else {
-                    AlarmKind::Contextual
-                };
-                let ended_by_abrupt = bool01(&mut parts, i, "abrupt flag")?;
-                let nevents: usize = field(&mut parts, i, "alarm event count")?;
-                let mut events = Vec::with_capacity(nevents.min(1 << 16));
-                for _ in 0..nevents {
-                    let line = take(&lines, &mut i, "anomalous event")?;
-                    let mut parts = line.split_whitespace();
-                    if parts.next() != Some("e") {
-                        return Err(snap_err(i, "expected e"));
-                    }
-                    let ordinal: u64 = field(&mut parts, i, "ordinal")?;
-                    let millis: u64 = field(&mut parts, i, "timestamp")?;
-                    let device: usize = field(&mut parts, i, "device")?;
-                    let value = bool01(&mut parts, i, "value")?;
-                    let score: f64 = field(&mut parts, i, "event score")?;
-                    let ncauses: usize = field(&mut parts, i, "cause count")?;
-                    let mut cause_values = Vec::with_capacity(ncauses.min(1 << 10));
-                    for _ in 0..ncauses {
-                        let line = take(&lines, &mut i, "cause")?;
-                        let mut parts = line.split_whitespace();
-                        if parts.next() != Some("c") {
-                            return Err(snap_err(i, "expected c"));
-                        }
-                        let device: usize = field(&mut parts, i, "cause device")?;
-                        let lag: usize = field(&mut parts, i, "cause lag")?;
-                        let value = bool01(&mut parts, i, "cause value")?;
-                        cause_values
-                            .push((LaggedVar::new(DeviceId::from_index(device), lag), value));
-                    }
-                    events.push(AnomalousEvent {
-                        ordinal,
-                        event: BinaryEvent::new(
-                            Timestamp::from_millis(millis),
-                            DeviceId::from_index(device),
-                            value,
-                        ),
-                        cause_values,
-                        score,
-                    });
-                }
-                alarms.push(Alarm {
-                    kind,
-                    events,
-                    ended_by_abrupt,
-                });
-            }
-            list.push(Verdict {
-                score,
-                exceeds_threshold,
-                alarms,
-                confidence,
-            });
+            list.push(read_verdict(&mut reader)?);
         }
-        verdicts = Some(list);
-    }
+        Some(list)
+    } else {
+        None
+    };
 
-    let line = take(&lines, &mut i, "drift")?;
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some("drift") {
-        return Err(snap_err(i, "expected drift"));
-    }
-    let drift = if bool01(&mut parts, i, "drift flag")? {
-        let line = take(&lines, &mut i, "drift.meta")?;
-        let mut parts = line.split_whitespace();
-        if parts.next() != Some("drift.meta") {
-            return Err(snap_err(i, "expected drift.meta"));
-        }
-        let since_check: usize = field(&mut parts, i, "since_check")?;
-        let events_seen: u64 = field(&mut parts, i, "events_seen")?;
-        let nsamples: usize = field(&mut parts, i, "sample count")?;
-        let nwindow: usize = field(&mut parts, i, "window count")?;
-        let mut samples = Vec::with_capacity(nsamples.min(1 << 20));
+    let mut record = reader.expect("drift")?;
+    let armed = record.bit("drift flag")?;
+    record.done()?;
+    let drift = if armed {
+        let mut meta = reader.expect("drift.meta")?;
+        let since_check = meta.counter("since_check")? as usize;
+        let events_seen = meta.counter("events_seen")?;
+        let nsamples = meta.count("sample count")?;
+        let nwindow = meta.count("window count")?;
+        meta.done()?;
+        let mut samples = Vec::with_capacity(nsamples);
         for _ in 0..nsamples {
-            let line = take(&lines, &mut i, "drift sample")?;
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("drift.s") {
-                return Err(snap_err(i, "expected drift.s"));
-            }
-            let device: usize = field(&mut parts, i, "sample device")?;
-            let exceeded = bool01(&mut parts, i, "sample exceeded")?;
-            let ll: f64 = field(&mut parts, i, "sample ll")?;
-            samples.push((DeviceId::from_index(device), exceeded, ll));
+            let mut record = reader.expect("drift.s")?;
+            let device = record.device(devices, "sample device")?;
+            let exceeded = record.bit("sample exceeded")?;
+            samples.push((device, exceeded, record.num("sample ll")?));
+            record.done()?;
         }
-        let mut window = Vec::with_capacity(nwindow.min(1 << 20));
+        let mut window = Vec::with_capacity(nwindow);
         for _ in 0..nwindow {
-            let line = take(&lines, &mut i, "drift window event")?;
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("drift.w") {
-                return Err(snap_err(i, "expected drift.w"));
-            }
-            let millis: u64 = field(&mut parts, i, "window timestamp")?;
-            let device: usize = field(&mut parts, i, "window device")?;
-            let value = bool01(&mut parts, i, "window value")?;
+            let mut record = reader.expect("drift.w")?;
+            let millis = record.num("window timestamp")?;
+            let device = record.device(devices, "window device")?;
             window.push(BinaryEvent::new(
                 Timestamp::from_millis(millis),
-                DeviceId::from_index(device),
-                value,
+                device,
+                record.bit("window value")?,
             ));
+            record.done()?;
         }
-        let line = take(&lines, &mut i, "drift.base")?;
-        let bits = line
-            .strip_prefix("drift.base ")
-            .ok_or_else(|| snap_err(i, "expected drift.base"))?;
-        let mut base = Vec::with_capacity(bits.len());
-        for b in bits.bytes() {
-            match b {
-                b'0' => base.push(false),
-                b'1' => base.push(true),
-                _ => return Err(snap_err(i, "drift.base bits must be 0 or 1")),
-            }
-        }
+        let mut record = reader.expect("drift.base")?;
+        let base_state = record.bits(devices, "drift.base")?;
+        record.done()?;
         Some(DriftResume {
             samples,
             since_check,
             events_seen,
             window,
-            base_state: SystemState::from_values(base),
+            base_state,
         })
     } else {
         None
     };
 
-    if take(&lines, &mut i, "end")? != "end" {
-        return Err(snap_err(i, "expected end"));
-    }
-    if i != lines.len() {
-        return Err(snap_err(i + 1, "trailing data after end"));
+    reader.expect("end")?.done()?;
+    if let Some(record) = reader.next_record() {
+        return Err(record.error("trailing data after end"));
     }
     Ok(SnapshotDoc {
         seq,
@@ -655,6 +510,52 @@ pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, String> {
         monitor_doc,
         verdicts,
         drift,
+    })
+}
+
+/// One `v` record of a verdict history, with its alarms' `a` records and
+/// their anomalous events.
+fn read_verdict(reader: &mut LineReader<'_>) -> Result<Verdict, CausalIotError> {
+    let mut record = reader.expect("v")?;
+    let score = record.num("score")?;
+    let exceeds_threshold = record.bit("exceeds flag")?;
+    let confidence = record.num("confidence")?;
+    let nalarms = record.count("alarm count")?;
+    record.done()?;
+    let mut alarms = Vec::with_capacity(nalarms);
+    for _ in 0..nalarms {
+        let mut record = reader.expect("a")?;
+        let kind = if record.bit("alarm kind")? {
+            AlarmKind::Collective
+        } else {
+            AlarmKind::Contextual
+        };
+        let ended_by_abrupt = record.bit("abrupt flag")?;
+        let nevents = record.count("alarm event count")?;
+        record.done()?;
+        let mut events = Vec::with_capacity(nevents);
+        for _ in 0..nevents {
+            let record = reader.expect("e")?;
+            // The history outlives model swaps: no device count or τ binds it.
+            events.push(read_anomalous_event(
+                reader,
+                record,
+                "c",
+                usize::MAX,
+                0..=usize::MAX,
+            )?);
+        }
+        alarms.push(Alarm {
+            kind,
+            events,
+            ended_by_abrupt,
+        });
+    }
+    Ok(Verdict {
+        score,
+        exceeds_threshold,
+        alarms,
+        confidence,
     })
 }
 
@@ -704,6 +605,8 @@ impl RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causaliot_core::graph::LaggedVar;
+    use causaliot_core::AnomalousEvent;
 
     fn event(i: u64) -> BinaryEvent {
         BinaryEvent::new(
@@ -761,7 +664,7 @@ mod tests {
         };
         let mut doc = render_snapshot(42, 3, MONITOR_DOC, Some(&verdicts), Some(&drift));
         append_crc_footer(&mut doc);
-        let parsed = parse_snapshot(&doc).unwrap();
+        let parsed = parse_snapshot(&doc, 3).unwrap();
         assert_eq!(parsed.seq, 42);
         assert_eq!(parsed.next_epoch, 3);
         assert_eq!(parsed.monitor_doc, MONITOR_DOC);
@@ -783,7 +686,7 @@ mod tests {
     fn minimal_snapshot_round_trips() {
         let mut doc = render_snapshot(0, 1, MONITOR_DOC, None, None);
         append_crc_footer(&mut doc);
-        let parsed = parse_snapshot(&doc).unwrap();
+        let parsed = parse_snapshot(&doc, 3).unwrap();
         assert_eq!(parsed.seq, 0);
         assert_eq!(parsed.next_epoch, 1);
         assert!(parsed.verdicts.is_none());
@@ -799,11 +702,11 @@ mod tests {
         let mut bytes = doc.clone().into_bytes();
         bytes[MAGIC.len() + 5] ^= 1;
         let flipped = String::from_utf8(bytes).unwrap();
-        assert!(parse_snapshot(&flipped).unwrap_err().contains("crc32"));
+        assert!(parse_snapshot(&flipped, 3).unwrap_err().contains("crc32"));
 
         // Drop the footer entirely.
         let body = &doc[..find_crc_footer(&doc).unwrap()];
-        assert!(parse_snapshot(body).unwrap_err().contains("footer"));
+        assert!(parse_snapshot(body, 3).unwrap_err().contains("footer"));
 
         // Structural damage with a *recomputed* footer still fails: the
         // parser itself is the last line of defence.
@@ -814,7 +717,7 @@ mod tests {
             .join("\n");
         truncated.push('\n');
         append_crc_footer(&mut truncated);
-        assert!(parse_snapshot(&truncated).unwrap_err().contains("drift"));
+        assert!(parse_snapshot(&truncated, 3).unwrap_err().contains("drift"));
     }
 
     #[test]
@@ -852,7 +755,7 @@ mod tests {
         assert_eq!(segments.len(), 1, "old segment pruned");
         assert_eq!(segments[0].0, 1);
         let text = fs::read_to_string(dir.join(SNAP_FILE)).unwrap();
-        assert_eq!(parse_snapshot(&text).unwrap().next_epoch, 1);
+        assert_eq!(parse_snapshot(&text, 3).unwrap().next_epoch, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

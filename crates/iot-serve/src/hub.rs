@@ -1323,12 +1323,14 @@ fn recover_home(
     let mut snapshot_loaded = false;
     match fs::read_to_string(&snap_path) {
         Ok(text) => {
-            let doc = parse_snapshot(&text).map_err(|detail| RecoveryError::Corrupt {
-                file: snap_path.clone(),
-                detail,
+            let doc = parse_snapshot(&text, model.num_devices()).map_err(|detail| {
+                RecoveryError::Corrupt {
+                    file: snap_path.clone(),
+                    detail,
+                }
             })?;
             monitor
-                .restore_runtime_state(&doc.monitor_doc)
+                .restore_runtime_state(doc.monitor_doc)
                 .map_err(|e| RecoveryError::Corrupt {
                     file: snap_path.clone(),
                     detail: e.to_string(),
@@ -2017,7 +2019,8 @@ mod tests {
         });
         let restored = |doc: &str| {
             let mut state = seeded();
-            state.restore(parse_snapshot(doc).unwrap().drift.unwrap());
+            let devices = model.num_devices();
+            state.restore(parse_snapshot(doc, devices).unwrap().drift.unwrap());
             state
         };
         let mut states = [live, restored(&capped), restored(&whole)];

@@ -1134,6 +1134,9 @@ pub(crate) struct SupervisorShared {
 struct RestoreTracker {
     attempts: u32,
     last: Option<Instant>,
+    /// The home's restore count when the restore now in flight was sent:
+    /// it has landed once the count moves on.
+    in_flight: Option<u64>,
 }
 
 /// The supervisor thread body: respawns dead workers and drives
@@ -1186,6 +1189,12 @@ impl Supervisor {
                 continue;
             }
             let tracker = trackers.entry(entry.home).or_default();
+            // One restore per quarantine: a swap still queued behind a busy
+            // worker has not failed, so it is never sent twice.
+            let restores = entry.health.restores();
+            if tracker.in_flight == Some(restores) {
+                continue;
+            }
             if tracker.attempts >= policy.backoff.max_attempts {
                 continue;
             }
@@ -1226,6 +1235,7 @@ impl Supervisor {
             }) {
                 Ok(()) => {
                     tracker.attempts += 1;
+                    tracker.in_flight = Some(restores);
                 }
                 Err(_) => {
                     core.context.depth.fetch_sub(1, Ordering::Relaxed);

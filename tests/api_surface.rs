@@ -257,6 +257,66 @@ fn durability_api_signatures_are_pinned() {
 }
 
 #[test]
+fn line_record_reader_signatures_are_pinned() {
+    use causaliot::persist::{
+        push_bits, read_anomalous_event, write_anomalous_event, LineReader, Record,
+    };
+    use causaliot::{AnomalousEvent, CausalIotError};
+    use iot_model::{DeviceId, SystemState};
+    use std::ops::RangeInclusive;
+
+    // One reader under every line format: the dig, checkpoint,
+    // runtime-state and hub-snapshot decoders all walk a borrowed
+    // document record by record and take typed fields off each.
+    fn reader_api<'t>(_: &'t str) {
+        let _new: fn(&'t str) -> LineReader<'t> = LineReader::new;
+        let _magic: fn(&mut LineReader<'t>, &str) -> Result<(), CausalIotError> = LineReader::magic;
+        let _next: fn(&mut LineReader<'t>) -> Option<Record<'t>> = LineReader::next_record;
+        let _expect: fn(&mut LineReader<'t>, &str) -> Result<Record<'t>, CausalIotError> =
+            LineReader::expect;
+        let _position: fn(&LineReader<'t>) -> usize = LineReader::position;
+        let _tag: fn(&Record<'t>) -> &'t str = Record::tag;
+        let _num: fn(&mut Record<'t>, &str) -> Result<f64, CausalIotError> = Record::num;
+        let _counter: fn(&mut Record<'t>, &str) -> Result<u64, CausalIotError> = Record::counter;
+        let _count: fn(&mut Record<'t>, &str) -> Result<usize, CausalIotError> = Record::count;
+        let _device: fn(&mut Record<'t>, usize, &str) -> Result<DeviceId, CausalIotError> =
+            Record::device;
+        let _bit: fn(&mut Record<'t>, &str) -> Result<bool, CausalIotError> = Record::bit;
+        let _bits: fn(&mut Record<'t>, usize, &str) -> Result<SystemState, CausalIotError> =
+            Record::bits;
+        let _done: fn(Record<'t>) -> Result<(), CausalIotError> = Record::done;
+    }
+    reader_api("");
+    // One layout for an anomalous event and its causes, under the tags
+    // each format gives it, and one bit-string writer.
+    let _write: fn(&mut String, &str, &str, &AnomalousEvent) = write_anomalous_event;
+    type ReadEvent = fn(
+        &mut LineReader<'_>,
+        Record<'_>,
+        &str,
+        usize,
+        RangeInclusive<usize>,
+    ) -> Result<AnomalousEvent, CausalIotError>;
+    let _read: ReadEvent = read_anomalous_event;
+    let _bits: fn(&mut String, &SystemState) = push_bits;
+
+    let mut doc = String::from("demo v1\n# a comment\n\nstate ");
+    push_bits(&mut doc, &SystemState::from_values(vec![true, false]));
+    doc.push_str(" 7 1\n");
+    let mut reader = LineReader::new(&doc);
+    reader.magic("demo v1").unwrap();
+    let mut record = reader.expect("state").unwrap();
+    assert_eq!(record.bits(2, "state").unwrap().values(), &[true, false]);
+    assert_eq!(record.num::<u32>("count").unwrap(), 7);
+    assert!(record.bit("flag").unwrap());
+    record.done().unwrap();
+    assert!(reader.next_record().is_none());
+    // Failures name the line (0: the document ended early).
+    let missing = reader.missing("`end` record").to_string();
+    assert!(missing.contains("line 0") && missing.contains("missing `end` record"));
+}
+
+#[test]
 fn backoff_policy_is_shared_between_restore_and_adaptation() {
     use iot_serve::{AdaptationPolicy, BackoffPolicy, RestorePolicy};
     use std::time::Duration;

@@ -363,6 +363,86 @@ impl FaultHook for StallWorker {
     }
 }
 
+/// A scheduled monitor panic plus a worker stalled at every burst
+/// boundary while engaged.
+struct PanicThenStall {
+    schedule: FaultSchedule,
+    stall: StallWorker,
+}
+
+impl FaultHook for PanicThenStall {
+    fn before_observe(&self, home: iot_serve::HomeId, seq: u64) {
+        self.schedule.before_observe(home, seq);
+    }
+
+    fn kill_worker(&self, shard: usize, jobs_done: u64) -> bool {
+        self.stall.kill_worker(shard, jobs_done)
+    }
+}
+
+#[test]
+fn restore_queued_behind_a_stalled_worker_is_sent_once() {
+    install_quiet_panic_hook();
+    let (reg, model) = fitted_model(13);
+    let pre = home_stream(&reg, 31, 6); // 6th event (seq 5) panics
+    let post = home_stream(&reg, 32, 40);
+    let checkpoint = std::env::temp_dir().join(format!(
+        "causaliot_hub_faults_stalled_restore_{}.model",
+        std::process::id()
+    ));
+    std::fs::write(&checkpoint, model.save()).unwrap();
+
+    // Each burst boundary stalls for longer than the whole backoff
+    // schedule (1 + 2 ms, jittered), so the restore the supervisor sends
+    // on quarantine waits in the queue through every retry point.
+    let hook = Arc::new(PanicThenStall {
+        schedule: FaultSchedule::new().panic_at(0, 5),
+        stall: StallWorker {
+            engaged: AtomicBool::new(true),
+            pause: Duration::from_millis(100),
+        },
+    });
+    let telemetry = TelemetryHandle::with_noop_sink();
+    let mut hub = Hub::with_fault_hook(
+        HubConfig::builder()
+            .workers(1)
+            .restore_policy(RestorePolicy {
+                from_checkpoint: checkpoint.clone(),
+                backoff: BackoffPolicy {
+                    max_attempts: 3,
+                    initial: Duration::from_millis(1),
+                    max: Duration::from_millis(4),
+                },
+            })
+            .try_build()
+            .unwrap(),
+        &telemetry,
+        Arc::clone(&hook) as Arc<dyn FaultHook>,
+    );
+    let home = hub.register("home", &model);
+    assert!(hub.submit_batch(home, &pre).unwrap().is_complete());
+    hub.drain();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while hub.is_quarantined(home) {
+        assert!(
+            Instant::now() < deadline,
+            "auto-restore did not happen within 10s"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    hook.stall.engaged.store(false, Ordering::Release);
+    assert!(hub.submit_batch(home, &post).unwrap().is_complete());
+    hub.drain();
+    let reports = hub.shutdown();
+    let _ = std::fs::remove_file(&checkpoint);
+
+    let mut expected = sequential_verdicts(&model, &pre[..5]);
+    expected.extend(sequential_verdicts(&model, &post));
+    assert_eq!(reports[0].verdicts, expected);
+    assert_eq!(reports[0].restores, 1, "one restore per quarantine");
+    assert_eq!(telemetry.counter("hub.restores").get(), 1);
+}
+
 #[test]
 fn block_policy_reports_deadline_exceeded() {
     install_quiet_panic_hook();
